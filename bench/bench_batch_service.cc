@@ -16,6 +16,8 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <limits>
+#include <chrono>
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
@@ -542,16 +544,40 @@ void BM_SparseCompose(benchmark::State& state) {
 }
 BENCHMARK(BM_SparseCompose)->Apply(ApplyCrossoverArgs);
 
-/// Service-level: the same query through the full compile-plan-execute
-/// path with the representation forced per job (repr 0 leaves the
-/// planner's dense/sparse crossover in charge -- the number the ROADMAP
-/// acceptance compares against the forced extremes). Above the dense
-/// ceiling this is the previously-refused full-relation workload.
+/// Median of `reps` wall-clock runs of `jobs`, in ms.
+double MedianBatchMs(engine::QueryService& service,
+                     const std::vector<engine::QueryJob>& jobs, int reps) {
+  std::vector<double> ms;
+  for (int i = 0; i < reps; ++i) {
+    const auto t0 = std::chrono::steady_clock::now();
+    benchmark::DoNotOptimize(service.EvaluateBatch(jobs));
+    ms.push_back(std::chrono::duration<double, std::milli>(
+                     std::chrono::steady_clock::now() - t0)
+                     .count());
+  }
+  std::sort(ms.begin(), ms.end());
+  return ms[ms.size() / 2];
+}
+
+/// Service-level, cold: the same query through the full compile-plan-
+/// execute path on a store built with relation_cache_bytes = 0, so every
+/// iteration evaluates (axis relations stay warm: they are per-document
+/// state every route shares). repr 0 leaves the planner's route choice
+/// in charge and additionally times every admissible forced route (GKP,
+/// dense, sparse; 5 runs each, median): auto_ms, forced_min_ms, and their
+/// ratio route_efficiency -- 1.0 means the planner picked the fastest
+/// route. CI gates sum(forced_min_ms) / sum(auto_ms) over the auto arms
+/// (tools/bench_compare.py RATIO_BOUNDS). repr 1/2 force
+/// dense/sparse. Above the dense ceiling this is the previously refused
+/// full-relation workload. 65536 nodes is left to BM_SparseCompose: a
+/// cold evaluation there takes seconds per route.
 void BM_CrossoverFullRelation(benchmark::State& state) {
   const auto nodes = static_cast<std::size_t>(state.range(0));
   const auto repr = static_cast<MatrixRepr>(state.range(2));
   Tree t = CrossoverTree(state.range(1), nodes);
-  engine::DocumentStore store;
+  engine::DocumentStoreOptions options;
+  options.relation_cache_bytes = 0;
+  engine::DocumentStore store(options);
   const engine::DocumentId id = store.Insert(std::move(t));
   engine::QueryService service(
       {.num_threads = 1, .document_store = &store});
@@ -561,7 +587,7 @@ void BM_CrossoverFullRelation(benchmark::State& state) {
   job.shape = engine::ResultShape::kFullRelation;
   if (repr != MatrixRepr::kAuto) job.repr_override = repr;
   const std::vector<engine::QueryJob> jobs = {job};
-  // Warm caches and refuse to report a failing workload.
+  // Build the axis relations and refuse to report a failing workload.
   engine::ExecutionPlan plan;
   {
     std::vector<engine::QueryResult> warm = service.EvaluateBatch(jobs);
@@ -578,13 +604,42 @@ void BM_CrossoverFullRelation(benchmark::State& state) {
   const engine::ServiceStats stats = service.stats();
   state.counters["plan_sparse"] =
       plan.repr == MatrixRepr::kSparse ? 1.0 : 0.0;
+  state.counters["plan_gkp"] =
+      plan.engine == engine::EnginePlan::kGkpPositive ? 1.0 : 0.0;
   state.counters["dense_products"] = static_cast<double>(stats.dense_products);
   state.counters["sparse_products"] =
       static_cast<double>(stats.sparse_products);
   state.counters["repr_crossovers"] =
       static_cast<double>(stats.repr_crossovers);
+  if (repr != MatrixRepr::kAuto) return;
+  constexpr int kReps = 5;
+  const double auto_ms = MedianBatchMs(service, jobs, kReps);
+  double best_ms = std::numeric_limits<double>::infinity();
+  std::vector<engine::QueryJob> forced;
+  if (nodes <= BitMatrix::kMaxDenseNodes) {
+    forced.push_back(job);
+    forced.back().engine_override = engine::EnginePlan::kGkpPositive;
+    forced.push_back(job);
+    forced.back().repr_override = MatrixRepr::kDense;
+  }
+  forced.push_back(job);
+  forced.back().repr_override = MatrixRepr::kSparse;
+  for (const engine::QueryJob& f : forced) {
+    if (!service.EvaluateBatch({f})[0].status.ok()) continue;
+    best_ms = std::min(best_ms, MedianBatchMs(service, {f}, kReps));
+  }
+  state.counters["auto_ms"] = auto_ms;
+  state.counters["forced_min_ms"] = best_ms;
+  state.counters["route_efficiency"] = best_ms / auto_ms;
 }
-BENCHMARK(BM_CrossoverFullRelation)->Apply(ApplyCrossoverArgs);
+BENCHMARK(BM_CrossoverFullRelation)->Apply([](benchmark::internal::Benchmark* b) {
+  for (std::int64_t nodes : {512, 2048, 8192}) {
+    for (std::int64_t shape : {0, 1, 2}) {
+      for (std::int64_t repr : {0, 1, 2}) b->Args({nodes, shape, repr});
+    }
+  }
+  b->Unit(benchmark::kMillisecond);
+});
 
 // ------------------------------------------ subrelation memoization
 //

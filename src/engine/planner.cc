@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <limits>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -17,218 +18,431 @@ namespace xpv::engine {
 
 namespace {
 
+constexpr double kInf = std::numeric_limits<double>::infinity();
+
 double WordsPerRow(double n) {
   return std::max(1.0, std::ceil(n / 64.0));
 }
 
-/// Heuristic upper bound on |domain(P)| from the tree's posting lists.
-/// domain(A::N) is the inverse-axis image of N's posting list, so it is
-/// bounded by the posting size times how far one target can "spread"
-/// backwards along A: one parent per node (child), at most max_fanout
-/// siblings / children (siblings, parent), at most max_depth ancestors
-/// (descendant). Only cost estimates depend on this -- every admissible
-/// plan computes identical answers (enforced by tests/planner_test.cc).
-double DomainBound(const ppl::PplBinExpr& p, const Tree& tree) {
-  const TreeStats& s = tree.Stats();
-  const double n = static_cast<double>(s.node_count);
+OpCounts Visits(double x) { return {.visit = x}; }
+OpCounts Words(double x) { return {.word = x}; }
+OpCounts HotWords(double x) { return {.hot_word = x}; }
+OpCounts Compares(double x) { return {.compare = x}; }
+OpCounts Runs(double x) { return {.run = x}; }
+OpCounts Resident(double x) { return {.resident_word = x}; }
+
+/// Tree-level inputs shared by every estimate of one PriceRoutes call.
+struct CostContext {
+  explicit CostContext(const Tree& t)
+      : tree(t),
+        n(static_cast<double>(
+            std::max<std::size_t>(t.Stats().node_count, 1))),
+        wpr(WordsPerRow(n)),
+        interval_cache(t.size() > AxisCache::kAutoDenseMaxNodes) {}
+
+  /// Fraction of the nodes passing `name_test` ("" is the wildcard).
+  double Selectivity(const std::string& name_test) const {
+    if (name_test.empty()) return 1.0;
+    return std::min(
+        1.0, static_cast<double>(tree.LabelFrequency(name_test)) / n);
+  }
+
+  /// Tree::Targets(), fetched on first use: plans that compose nothing
+  /// never compute them.
+  const TargetStats& targets() const {
+    if (targets_ == nullptr) targets_ = &tree.Targets();
+    return *targets_;
+  }
+
+  const Tree& tree;
+  mutable const TargetStats* targets_ = nullptr;
+  double n;
+  double wpr;  // 64-bit words per packed row
+  /// AxisCache's kAuto backing on this tree -- the one QueryService uses:
+  /// interval runs above kAutoDenseMaxNodes, packed rows below.
+  bool interval_cache;
+};
+
+/// Heuristic bound on |domain(P)|, the rows the GKP image loop visits.
+/// domain(A::N) is the set of rows of A(t) holding an N-labeled cell: at
+/// most the nonempty rows of A(t) -- each holds at least one run, so at
+/// most its run count -- and, with N independent of the axis, about the
+/// row's mean cells times N's frequency. Only cost estimates depend on
+/// this -- every admissible plan computes identical answers (enforced by
+/// tests/planner_test.cc).
+double DomainBound(const ppl::PplBinExpr& p, const CostContext& c) {
   switch (p.kind) {
     case ppl::PplBinKind::kStep: {
-      // PplBinExpr::Step normalizes the "*" wildcard to "".
-      if (p.name_test.empty()) return n;
-      const double f = static_cast<double>(tree.LabelFrequency(p.name_test));
-      const double fanout = static_cast<double>(std::max<std::size_t>(
-          s.max_fanout, 1));
-      switch (p.axis) {
-        case Axis::kSelf:
-          return f;
-        case Axis::kChild:
-          return std::min(n, f);  // each labeled child has one parent
-        case Axis::kParent:
-        case Axis::kFollowingSibling:
-        case Axis::kPrecedingSibling:
-          return std::min(n, f * fanout);
-        case Axis::kDescendant:
-          return std::min(n, f * static_cast<double>(s.max_depth + 1));
-        case Axis::kAncestor:
-          return n;  // a labeled ancestor admits its whole subtree
-      }
-      return n;
+      const AxisShape& axis = AxisShapeOf(c.tree, p.axis);
+      return c.n * std::min({1.0, axis.runs_per_row,
+                             axis.cells_per_row * c.Selectivity(p.name_test)});
     }
     case ppl::PplBinKind::kCompose:
       // domain(P1/P2) is contained in domain(P1).
-      return DomainBound(*p.left, tree);
+      return DomainBound(*p.left, c);
     case ppl::PplBinKind::kUnion:
-      return std::min(
-          n, DomainBound(*p.left, tree) + DomainBound(*p.right, tree));
+      return std::min(c.n, DomainBound(*p.left, c) + DomainBound(*p.right, c));
     case ppl::PplBinKind::kFilter:
       // domain([Q]) = domain(Q).
-      return DomainBound(*p.left, tree);
+      return DomainBound(*p.left, c);
     case ppl::PplBinKind::kComplement:
-      return n;
+      return c.n;
   }
-  return n;
+  return c.n;
 }
 
-/// Cost (word ops) of the full matrix evaluation: |P| Boolean products.
-double MatrixFullCost(std::size_t pplbin_size, double n) {
-  return static_cast<double>(pplbin_size) * n * n * WordsPerRow(n);
-}
-
-/// Estimated cost of accessing one row of a cached axis relation, in
-/// word-op equivalents, per representation. Dense rows are ceil(n/64)
-/// contiguous words; interval rows are a handful of runs -- O(log n) on
-/// balanced and random trees (tree/axes.h) -- each touched in O(1) by
-/// the run-native kernels. The planner mirrors AxisCache's kAuto policy
-/// (the backing QueryService actually uses), keeping plans deterministic
-/// functions of (query, tree stats, shape).
-double AxisRowAccessCost(double n) {
-  const bool interval =
-      n > static_cast<double>(AxisCache::kAutoDenseMaxNodes);
-  return interval ? std::max(1.0, std::log2(std::max(2.0, n)))
-                  : WordsPerRow(n);
-}
-
-/// Cost of the row-restricted matrix path: positive operators propagate
-/// one BitVector (O(|t|) each); a complement over a plain step runs one
-/// kernel pass over the cached axis relation (per-row access cost depends
-/// on its representation); any other complement falls back to the full
-/// matrix evaluation of its subexpression.
-double MatrixMonadicCost(const ppl::PplBinExpr& p, double n) {
-  switch (p.kind) {
-    case ppl::PplBinKind::kStep:
-      return n;
-    case ppl::PplBinKind::kCompose:
-    case ppl::PplBinKind::kUnion:
-      return MatrixMonadicCost(*p.left, n) + MatrixMonadicCost(*p.right, n) +
-             WordsPerRow(n);
-    case ppl::PplBinKind::kFilter:
-      // The domain resolves by a preimage walk of the same shape.
-      return MatrixMonadicCost(*p.left, n) + WordsPerRow(n);
-    case ppl::PplBinKind::kComplement:
-      if (p.left->kind == ppl::PplBinKind::kStep) {
-        return n * AxisRowAccessCost(n) + n + WordsPerRow(n);
-      }
-      return MatrixFullCost(p.left->Size(), n) + n * WordsPerRow(n);
-  }
-  return n;
-}
-
-/// Per-row shape estimate for one sparse (CSR run-list) evaluation of a
-/// PPLbin expression: average set cells and runs per result row, the cost
-/// in word-op equivalents, and the peak total run count live at any node
-/// of the bottom-up evaluation (operands plus result). All averages; the
-/// engine's run budget is the hard backstop when an adversarial instance
-/// beats the estimate.
-struct SparseEst {
-  double cost = 0.0;
-  double nnz = 0.0;        // avg set cells per result row
-  double runs = 0.0;       // avg runs per result row
-  double peak_runs = 0.0;  // max total runs live at once
+/// Estimated shape of one subexpression's relation -- per-row means --
+/// and the operations each matrix representation spends evaluating it
+/// bottom-up. All averages: the sparse engine's run budget is the hard
+/// backstop when an instance beats the estimate.
+struct RelationEst {
+  double nnz = 0.0;        // mean set cells per row
+  double runs = 0.0;       // mean maximal runs per row
+  double peak_runs = 0.0;  // most runs live at once on the sparse route
+  /// A partial identity (self steps, filters): composing with it on the
+  /// right masks columns instead of gathering rows.
+  bool diagonal = false;
+  /// The axis of the step that produces the columns (last) and of the
+  /// step whose rows the relation's rows extend (first), when one step
+  /// does: composition prices its gathered rows by
+  /// Tree::TargetShapes()[last of a][first of b].
+  std::optional<Axis> first;
+  std::optional<Axis> last;
+  /// The labels those steps test (kNoLabel: the wildcard, or a label
+  /// absent from the tree).
+  LabelId first_label = kNoLabel;
+  LabelId last_label = kNoLabel;
+  OpCounts dense;          // whole subtree on the dense route
+  OpCounts sparse;         // whole subtree on the sparse route
 };
 
-/// Shape and cost of one sparse composition a/b, given the operand
-/// estimates. Per output row the SpGEMM gathers a run from b for every
-/// (set cell of a's row, run of the selected b row) pair, then either
-/// sort-merges them or blits a dense accumulator row -- whichever the
-/// kernel's own per-row fallback would pick. Factored out so the
-/// reassociation DP can estimate subchain shapes with the same
-/// arithmetic the crossover uses.
-SparseEst ComposeEstimates(const SparseEst& a, const SparseEst& b,
-                           double n) {
-  SparseEst out;
-  const double k = std::max(1.0, a.nnz * b.runs);
-  const double merge = std::min(k * std::log2(k + 2.0), k + n / 32.0);
-  out.cost = a.cost + b.cost + n * merge;
-  out.nnz = std::min(n, a.nnz * b.nnz);
-  out.runs = std::max(1.0, std::min(k, out.nnz));
-  out.peak_runs = std::max({a.peak_runs, b.peak_runs,
-                            n * (a.runs + b.runs + out.runs)});
-  return out;
+/// Runs of a row of `nnz` cells assembled from `pieces` runs: never more
+/// than the pieces or the cells, and every gap between two runs needs an
+/// unset cell, so never more than n - nnz + 1. This last bound is what
+/// sees coalescing: a row that fills up collapses into few runs.
+double RunsBound(double pieces, double nnz, double n) {
+  return std::max(0.0, std::min({pieces, nnz, n - nnz + 1.0}));
 }
 
-SparseEst SparseCost(const ppl::PplBinExpr& p, const Tree& tree) {
-  const TreeStats& s = tree.Stats();
-  const double n =
-      static_cast<double>(std::max<std::size_t>(s.node_count, 1));
-  SparseEst out;
-  switch (p.kind) {
-    case ppl::PplBinKind::kStep: {
-      const double depth = static_cast<double>(s.max_depth + 1);
-      const double fanout =
-          static_cast<double>(std::max<std::size_t>(s.max_fanout, 1));
-      double nnz = 1.0;
-      double runs = 1.0;
-      switch (p.axis) {
-        case Axis::kSelf:
-        case Axis::kParent:
-          nnz = runs = 1.0;
-          break;
-        case Axis::kChild:
-          // Children head disjoint subtrees: scattered preorder ids.
-          nnz = runs = std::min(n, fanout);
-          break;
-        case Axis::kDescendant:
-          // A subtree is one contiguous preorder range: a single run.
-          nnz = std::min(n, depth);
-          runs = 1.0;
-          break;
-        case Axis::kAncestor:
-          nnz = runs = std::min(n, depth);
-          break;
-        case Axis::kFollowingSibling:
-        case Axis::kPrecedingSibling:
-          nnz = runs = std::min(n, fanout);
-          break;
-      }
-      if (!p.name_test.empty()) {
-        const double sel = std::min(
-            1.0, static_cast<double>(tree.LabelFrequency(p.name_test)) / n);
-        const double masked = nnz * sel;
-        // Masking splits runs: each surviving cell can end a run, so the
-        // run count moves from the axis's toward one-run-per-cell as the
-        // label gets rarer.
-        runs = std::min(std::max(1.0, masked), runs + masked * (1.0 - sel));
-        nnz = masked;
-      }
-      out.nnz = nnz;
-      out.runs = runs;
-      out.cost = n * std::max(1.0, runs);  // AxisCache::SparseStep build
-      out.peak_runs = n * runs;
-      return out;
+/// Cells per row of the union of independent rows of `a` and `b` cells.
+double UnionCells(double a, double b, double n) {
+  return n - (n - a) * (n - b) / n;
+}
+
+/// Runs left when a row of `cells` cells in `runs` runs keeps each cell
+/// with probability s, independently of position: s for a run's first
+/// cell, plus s (1 - s) for every later cell whose predecessor was
+/// dropped.
+double MaskedRuns(double cells, double runs, double s) {
+  return s * runs + s * (1.0 - s) * std::max(0.0, cells - runs);
+}
+
+/// Writing a run list of e's shape: one fresh 64-bit word per run (an
+/// IntervalRun is two 32-bit ids) plus a 32-bit row offset per row --
+/// priced like the fresh words of a packed matrix, page faults included.
+OpCounts Fresh(const RelationEst& e, const CostContext& c) {
+  return Words(c.n * (e.runs + 0.5)) + OpCounts{.row = c.n};
+}
+
+RelationEst StepEst(const ppl::PplBinExpr& p, const CostContext& c) {
+  const AxisShape& axis = AxisShapeOf(c.tree, p.axis);
+  const LabelId label = c.tree.FindLabel(p.name_test);
+  const double s =
+      p.name_test.empty()
+          ? 1.0
+          : static_cast<double>(c.tree.LabelPostings(label).size()) / c.n;
+  RelationEst e;
+  e.nnz = axis.cells_per_row * s;
+  e.runs = RunsBound(MaskedRuns(axis.cells_per_row, axis.runs_per_row, s),
+                     e.nnz, c.n);
+  e.diagonal = p.axis == Axis::kSelf;
+  e.first = e.last = p.axis;
+  e.first_label = e.last_label = label;
+  e.peak_runs = c.n * e.runs;
+  const double rows = c.n * c.wpr;
+  if (c.interval_cache) {
+    // Sparse masks the cached runs in place; dense expands them to
+    // packed rows, then masks.
+    e.sparse = Runs(c.n * axis.runs_per_row) + Fresh(e, c);
+    e.dense = Words(2.0 * rows) + Runs(c.n * axis.runs_per_row);
+  } else {
+    // Sparse copies, masks and run-scans every packed row; dense copies
+    // (and masks) the cached matrix.
+    e.sparse = HotWords(3.0 * rows) + Fresh(e, c);
+    e.dense = Words(rows);
+  }
+  return e;
+}
+
+/// The rows of b that a/b gathers: b's shape at the targets of a's
+/// cells. When a's columns come from axis A and b's rows from axis B,
+/// b's mean shape scales by how B-rows at A-targets compare with B-rows
+/// at large (Tree::TargetShapes()) -- the correlation a plain mean
+/// misses, e.g. every ancestor set holding the root and its wide child
+/// row.
+RelationEst Gathered(const RelationEst& a, const RelationEst& b,
+                     const CostContext& c) {
+  RelationEst g = b;
+  if (!a.last.has_value() || !b.first.has_value()) return g;
+  const TargetStats& targets = c.targets();
+  const AxisShape& mean = AxisShapeOf(c.tree, *b.first);
+  // Behind a step that tests L the targets are L-nodes: their own rows.
+  // Otherwise the targets are weighted by their in-degree under a's axis.
+  const AxisShape& target =
+      a.last_label != kNoLabel
+          ? targets.label_shapes[a.last_label][static_cast<std::size_t>(
+                *b.first)]
+          : TargetShapeOf(targets, *a.last, *b.first);
+  double cell_ratio = mean.cells_per_row > 0.0
+                          ? target.cells_per_row / mean.cells_per_row
+                          : 1.0;
+  double run_ratio = mean.runs_per_row > 0.0
+                         ? target.runs_per_row / mean.runs_per_row
+                         : 1.0;
+  const LabelId label = b.first_label;
+  if (*b.first == Axis::kChild && label != kNoLabel) {
+    // A labeled child step: L-children at A-targets against L-children
+    // per row at large -- where L sits, not just how often it occurs.
+    const Tree& t = c.tree;
+    const double children = static_cast<double>(
+        t.LabelPostings(label).size() - (t.label(t.root()) == label ? 1 : 0));
+    if (children > 0.0) {
+      cell_ratio = run_ratio =
+          targets.child_labels[label][static_cast<std::size_t>(*a.last)] /
+          (children / c.n);
     }
+  }
+  g.nnz = std::min(c.n, b.nnz * cell_ratio);
+  g.runs = std::min(g.nnz, b.runs * run_ratio);
+  return g;
+}
+
+/// The dense product a/b alone (operands built): the row-OR kernel
+/// zeroes the result, then ORs one packed row of b per set cell of a.
+OpCounts ComposeDense(const RelationEst& a, const CostContext& c) {
+  return Words(c.n * c.wpr) + HotWords(c.n * c.wpr * a.nnz);
+}
+
+/// The sparse product a/b alone (operands built), per output row: two
+/// passes over a's cells (count, then gather) collect k = |a row| x
+/// |b runs| candidate runs, which the kernel sort-merges -- or, past its
+/// saturation threshold, ORs into a packed accumulator row and re-scans.
+OpCounts ComposeSparse(const RelationEst& a, const RelationEst& b,
+                       double out_runs, const CostContext& c) {
+  const double k = a.nnz * b.runs;
+  const double saturated = std::max(
+      static_cast<double>(SparseBoolMatrix::kDenseAccumMinRuns),
+      c.n / static_cast<double>(SparseBoolMatrix::kDenseAccumRunFactor));
+  const double runs = 2.0 * a.nnz + k;
+  double words = 0.0;
+  double compares = 0.0;
+  if (k > saturated) {
+    const double run_len = b.runs > 0.0 ? b.nnz / b.runs : 0.0;
+    words = 2.0 * c.wpr + k * run_len / 64.0;
+  } else {
+    compares = k * std::log2(k + 2.0);
+  }
+  return Runs(c.n * runs) + Compares(c.n * compares) +
+         HotWords(c.n * words) + Words(c.n * (out_runs + 0.5)) +
+         OpCounts{.row = c.n};
+}
+
+/// An interior result stays resident in the RelationCache: its packed
+/// rows on the dense route, its runs and row offsets on the sparse one.
+void KeepResident(RelationEst& e, const CostContext& c) {
+  e.dense += Resident(c.n * c.wpr);
+  e.sparse += Resident(c.n * (e.runs + 0.5));
+}
+
+/// The cells and runs per row of a/b, given the rows of b it gathers.
+std::pair<double, double> ProductShape(const RelationEst& a,
+                                       const RelationEst& b,
+                                       const RelationEst& gathered,
+                                       const CostContext& c) {
+  if (b.diagonal) {
+    // a/[Q] keeps a's cells in Q's domain: a column mask, under which
+    // a's runs stay runs -- they do not split into one per cell.
+    const double s = std::min(1.0, b.nnz);
+    const double nnz = a.nnz * s;
+    return {nnz, RunsBound(MaskedRuns(a.nnz, a.runs, s), nnz, c.n)};
+  }
+  // Row u of a/b is the union of b's rows over u's a-cells.
+  const double nnz =
+      c.n * -std::expm1(a.nnz * std::log1p(-std::min(1.0 - 1e-12,
+                                                      gathered.nnz / c.n)));
+  return {nnz, RunsBound(a.nnz * gathered.runs, nnz, c.n)};
+}
+
+RelationEst ComposeEst(const RelationEst& a, const RelationEst& b,
+                       const CostContext& c) {
+  RelationEst e;
+  const RelationEst gathered = Gathered(a, b, c);
+  std::tie(e.nnz, e.runs) = ProductShape(a, b, gathered, c);
+  e.diagonal = a.diagonal && b.diagonal;
+  // A diagonal factor passes the neighbour's axis through.
+  e.first = a.diagonal ? b.first : a.first;
+  e.first_label = a.diagonal ? b.first_label : a.first_label;
+  e.last = b.diagonal ? a.last : b.last;
+  e.last_label = b.diagonal ? a.last_label : b.last_label;
+  e.peak_runs =
+      std::max({a.peak_runs, b.peak_runs, c.n * (a.runs + b.runs + e.runs)});
+  e.dense = a.dense + b.dense + ComposeDense(a, c);
+  e.sparse = a.sparse + b.sparse + ComposeSparse(a, gathered, e.runs, c);
+  KeepResident(e, c);
+  return e;
+}
+
+/// Collects the maximal composition chain rooted at `p` left to right:
+/// a/(b/c) and (a/b)/c both flatten to [a, b, c].
+void FlattenCompose(const ppl::PplBinExpr& p,
+                    std::vector<const ppl::PplBinExpr*>* out) {
+  if (p.kind == ppl::PplBinKind::kCompose) {
+    FlattenCompose(*p.left, out);
+    FlattenCompose(*p.right, out);
+    return;
+  }
+  out->push_back(&p);
+}
+
+/// Which association of each composition chain an estimate assumes: as
+/// parsed, or the one the reassociation DP picks for the dense or the
+/// sparse representation -- the form that route actually executes.
+enum class Association { kParsed, kDense, kSparse };
+
+/// Nanoseconds of the product a/b alone on one route, at the fitted
+/// prices -- ComposeEst's product term without the rest of the estimate.
+double ProductNs(const RelationEst& a, const RelationEst& b,
+                 const CostContext& c, bool dense) {
+  if (dense) return ComposeDense(a, c).Ns(kFittedUnitPrices);
+  const RelationEst gathered = Gathered(a, b, c);
+  const double runs = ProductShape(a, b, gathered, c).second;
+  return ComposeSparse(a, gathered, runs, c).Ns(kFittedUnitPrices);
+}
+
+/// The matrix-chain DP over the factor estimates of one composition
+/// chain. est[i][j] is the cheapest association of factors i..j on the
+/// chosen representation's route, split[i][j] where it splits. Boolean
+/// products are associative, so every association denotes the same
+/// relation; the factors' own costs are common to all of them, so the
+/// cheapest whole is the one with the cheapest products.
+struct ChainDp {
+  ChainDp(std::vector<RelationEst> factors, const CostContext& c,
+          bool dense) {
+    const std::size_t k = factors.size();
+    est.assign(k, std::vector<RelationEst>(k));
+    split.assign(k, std::vector<std::size_t>(k, 0));
+    // ns[i][j]: the products' share of est[i][j] on this route -- what
+    // the associations differ in.
+    std::vector<std::vector<double>> ns(k, std::vector<double>(k, 0.0));
+    for (std::size_t i = 0; i < k; ++i) est[i][i] = factors[i];
+    for (std::size_t len = 2; len <= k; ++len) {
+      for (std::size_t i = 0; i + len <= k; ++i) {
+        const std::size_t j = i + len - 1;
+        double best = kInf;
+        for (std::size_t s = i; s < j; ++s) {
+          const double total = ns[i][s] + ns[s + 1][j] +
+                               ProductNs(est[i][s], est[s + 1][j], c, dense);
+          if (total < best) {
+            best = total;
+            split[i][j] = s;
+          }
+        }
+        ns[i][j] = best;
+        const std::size_t s = split[i][j];
+        est[i][j] = ComposeEst(est[i][s], est[s + 1][j], c);
+      }
+    }
+  }
+
+  std::vector<std::vector<RelationEst>> est;
+  std::vector<std::vector<std::size_t>> split;
+};
+
+/// OperatorEst without the resident result.
+RelationEst OperatorShapeAndOps(ppl::PplBinKind kind, const RelationEst& a,
+                                const RelationEst* b, const CostContext& c) {
+  const double rows = c.n * c.wpr;
+  RelationEst e;
+  switch (kind) {
+    case ppl::PplBinKind::kUnion:
+      e.nnz = UnionCells(a.nnz, b->nnz, c.n);
+      e.runs = RunsBound(a.runs + b->runs, e.nnz, c.n);
+      e.diagonal = a.diagonal && b->diagonal;
+      if (a.first == b->first && a.first_label == b->first_label) {
+        e.first = a.first;
+        e.first_label = a.first_label;
+      }
+      if (a.last == b->last && a.last_label == b->last_label) {
+        e.last = a.last;
+        e.last_label = a.last_label;
+      }
+      e.peak_runs = std::max(
+          {a.peak_runs, b->peak_runs, c.n * (a.runs + b->runs + e.runs)});
+      e.dense = a.dense + b->dense + Words(rows);
+      e.sparse = a.sparse + b->sparse + Runs(c.n * (a.runs + b->runs)) +
+                 Fresh(e, c);
+      return e;
+    case ppl::PplBinKind::kComplement:
+      // Gap inversion: the cells flip, the runs change by at most one.
+      e.nnz = c.n - a.nnz;
+      e.runs = RunsBound(a.runs + 1.0, e.nnz, c.n);
+      e.peak_runs = std::max(a.peak_runs, c.n * (a.runs + e.runs));
+      e.dense = a.dense + Words(rows);
+      e.sparse = a.sparse + Runs(c.n * a.runs) + Fresh(e, c);
+      return e;
+    case ppl::PplBinKind::kFilter:
+      // Diagonal of the nonempty rows: each holds at least one run.
+      e.nnz = std::min({1.0, a.nnz, a.runs});
+      e.runs = e.nnz;
+      e.diagonal = true;
+      e.peak_runs = std::max(a.peak_runs, c.n * (a.runs + e.runs));
+      e.dense = a.dense + Words(2.0 * rows);
+      e.sparse = a.sparse + Runs(c.n * a.runs) + Fresh(e, c);
+      return e;
+    case ppl::PplBinKind::kStep:
     case ppl::PplBinKind::kCompose:
-      return ComposeEstimates(SparseCost(*p.left, tree),
-                              SparseCost(*p.right, tree), n);
+      break;
+  }
+  std::abort();  // unreachable: steps and products have their own estimates
+}
+
+/// The estimate of a union, complement or filter node from its operands'
+/// (`b` is null for the unary ones).
+RelationEst OperatorEst(ppl::PplBinKind kind, const RelationEst& a,
+                        const RelationEst* b, const CostContext& c) {
+  RelationEst e = OperatorShapeAndOps(kind, a, b, c);
+  KeepResident(e, c);
+  return e;
+}
+
+RelationEst Estimate(const ppl::PplBinExpr& p, const CostContext& c,
+                     Association assoc) {
+  switch (p.kind) {
+    case ppl::PplBinKind::kStep:
+      return StepEst(p, c);
+    case ppl::PplBinKind::kCompose: {
+      if (assoc == Association::kParsed) {
+        return ComposeEst(Estimate(*p.left, c, assoc),
+                          Estimate(*p.right, c, assoc), c);
+      }
+      std::vector<const ppl::PplBinExpr*> raw;
+      FlattenCompose(p, &raw);
+      std::vector<RelationEst> factors;
+      factors.reserve(raw.size());
+      for (const ppl::PplBinExpr* f : raw) {
+        factors.push_back(Estimate(*f, c, assoc));
+      }
+      const std::size_t k = factors.size();
+      return ChainDp(std::move(factors), c, assoc == Association::kDense)
+          .est[0][k - 1];
+    }
     case ppl::PplBinKind::kUnion: {
-      const SparseEst a = SparseCost(*p.left, tree);
-      const SparseEst b = SparseCost(*p.right, tree);
-      out.cost = a.cost + b.cost + n * (a.runs + b.runs);
-      out.nnz = std::min(n, a.nnz + b.nnz);
-      out.runs = std::max(1.0, std::min(a.runs + b.runs, out.nnz));
-      out.peak_runs = std::max({a.peak_runs, b.peak_runs,
-                                n * (a.runs + b.runs + out.runs)});
-      return out;
+      const RelationEst b = Estimate(*p.right, c, assoc);
+      return OperatorEst(p.kind, Estimate(*p.left, c, assoc), &b, c);
     }
-    case ppl::PplBinKind::kComplement: {
-      const SparseEst a = SparseCost(*p.left, tree);
-      // Gap inversion: at most one more run per row, but the population
-      // flips -- a sparse relation's complement is dense in cells even
-      // though it stays cheap in runs.
-      out.cost = a.cost + n * (a.runs + 1.0);
-      out.nnz = std::max(0.0, n - a.nnz);
-      out.runs = a.runs + 1.0;
-      out.peak_runs =
-          std::max(a.peak_runs, n * (a.runs + out.runs));
-      return out;
-    }
-    case ppl::PplBinKind::kFilter: {
-      const SparseEst a = SparseCost(*p.left, tree);
-      out.cost = a.cost + n;
-      out.nnz = 1.0;  // diagonal: at most one cell per row
-      out.runs = 1.0;
-      out.peak_runs = std::max(a.peak_runs, n * (a.runs + 1.0));
-      return out;
-    }
+    case ppl::PplBinKind::kComplement:
+    case ppl::PplBinKind::kFilter:
+      return OperatorEst(p.kind, Estimate(*p.left, c, assoc), nullptr, c);
   }
   std::abort();  // unreachable: the switch above covers every PplBinKind
 }
@@ -236,14 +450,97 @@ SparseEst SparseCost(const ppl::PplBinExpr& p, const Tree& tree) {
 /// Estimated peak heap bytes of one sparse evaluation: the live runs plus
 /// CSR row-offset arrays for the (at most three) matrices alive at the
 /// widest node.
-double SparsePeakBytes(const SparseEst& est, double n) {
+double SparsePeakBytes(const RelationEst& est, double n) {
   return est.peak_runs * static_cast<double>(sizeof(IntervalRun)) +
          3.0 * n * static_cast<double>(sizeof(std::uint32_t));
 }
 
-/// True iff the monadic matrix path must materialize a dense sub-matrix:
-/// some complement's operand is not a plain step (complement-of-step runs
-/// on the cached axis relation directly, whatever its representation).
+/// GKP full relation: one reversal image for the domain, then per domain
+/// row one image of the whole expression -- every step an AxisImage sweep
+/// over all |t| nodes, every operator a few packed-row set operations --
+/// OR-ed into a zeroed dense result. The domain is the relation's
+/// nonempty rows: at most its estimated cells and runs, and at most the
+/// bound read off the leading steps.
+OpCounts GkpFull(const ppl::PplBinExpr& p, std::size_t size,
+                 const RelationEst& est, const CostContext& c) {
+  const double domain = std::min(
+      DomainBound(p, c), c.n * std::min({1.0, est.nnz, est.runs}));
+  const double nodes = static_cast<double>(size);
+  return Visits(nodes * c.n * (1.0 + domain)) +
+         Words(c.wpr * (c.n + nodes * domain)) + Resident(c.n * c.wpr);
+}
+
+/// The row-restricted matrix route: positive operators propagate one node
+/// set (one |t|-node sweep per step); a complement over a plain step runs
+/// one kernel pass over the cached axis relation; any other complement
+/// materializes its operand's relation in the plan's representation.
+/// On a positive query this is exactly GKP's monadic propagation.
+OpCounts Monadic(const ppl::PplBinExpr& p, const CostContext& c,
+                 Association assoc, bool dense) {
+  switch (p.kind) {
+    case ppl::PplBinKind::kStep:
+      return Visits(c.n);
+    case ppl::PplBinKind::kCompose:
+    case ppl::PplBinKind::kUnion:
+      return Monadic(*p.left, c, assoc, dense) +
+             Monadic(*p.right, c, assoc, dense) + Words(c.wpr);
+    case ppl::PplBinKind::kFilter:
+      // The domain resolves by a preimage walk of the same shape.
+      return Monadic(*p.left, c, assoc, dense) + Words(c.wpr);
+    case ppl::PplBinKind::kComplement: {
+      const OpCounts flip = Visits(c.n) + Words(c.wpr);
+      if (p.left->kind == ppl::PplBinKind::kStep) {
+        const AxisShape& axis = AxisShapeOf(c.tree, p.left->axis);
+        return flip + (c.interval_cache
+                           ? Runs(c.n * (axis.runs_per_row + 1.0))
+                           : Words(c.n * c.wpr));
+      }
+      const RelationEst e = Estimate(*p.left, c, assoc);
+      return flip + (dense ? e.dense : e.sparse);
+    }
+  }
+  return Visits(c.n);
+}
+
+/// Bit i set iff axis kAllAxes[i] is read as a relation by the matrix
+/// engine: every step of a materialized subexpression, and the step under
+/// a complement-of-step (its kernel pass reads the cached relation).
+/// Monadic sweeps elsewhere walk the tree arrays, like GKP.
+unsigned MatrixAxes(const ppl::PplBinExpr& p, bool materialized) {
+  switch (p.kind) {
+    case ppl::PplBinKind::kStep:
+      return materialized ? 1u << static_cast<unsigned>(p.axis) : 0u;
+    case ppl::PplBinKind::kCompose:
+    case ppl::PplBinKind::kUnion:
+      return MatrixAxes(*p.left, materialized) |
+             MatrixAxes(*p.right, materialized);
+    case ppl::PplBinKind::kFilter:
+      return MatrixAxes(*p.left, materialized);
+    case ppl::PplBinKind::kComplement:
+      return MatrixAxes(*p.left, true);
+  }
+  return 0u;
+}
+
+/// Building the cached axis relations in `axes` (a MatrixAxes mask) in
+/// AxisCache's backing for this tree: a plan is priced cold, as on its
+/// first run on a document, which also builds what it reads -- and the
+/// built relations stay resident (and persist in snapshots), a cost GKP's
+/// sweeps never pay.
+OpCounts AxisBuild(unsigned axes, const CostContext& c) {
+  OpCounts out;
+  for (Axis axis : kAllAxes) {
+    if ((axes & (1u << static_cast<unsigned>(axis))) == 0) continue;
+    const AxisShape& shape = AxisShapeOf(c.tree, axis);
+    out += c.interval_cache ? Words(c.n * (shape.runs_per_row + 0.5))
+                            : Words(c.n * c.wpr);
+  }
+  return out;
+}
+
+/// True iff the monadic matrix path must materialize a sub-matrix: some
+/// complement's operand is not a plain step (complement-of-step runs on
+/// the cached axis relation directly, whatever its representation).
 bool HasNonStepComplement(const ppl::PplBinExpr& p) {
   switch (p.kind) {
     case ppl::PplBinKind::kStep:
@@ -257,33 +554,6 @@ bool HasNonStepComplement(const ppl::PplBinExpr& p) {
       return p.left->kind != ppl::PplBinKind::kStep;
   }
   return false;
-}
-
-/// Cost of the single Boolean product a/b, EXCLUDING the cost of
-/// building the operands (each factor of a chain is built exactly once
-/// whatever the association, so only the product costs differ between
-/// parenthesizations). Dense: the row-OR kernel walks the set bits of
-/// each of a's n rows and ORs one ceil(n/64)-word row of b per bit, plus
-/// initializing the result. Sparse: the per-row run merge from
-/// ComposeEstimates.
-double ComposeStepCost(const SparseEst& a, const SparseEst& b, double n,
-                       bool dense) {
-  if (dense) return (n + n * a.nnz) * WordsPerRow(n);
-  const double k = std::max(1.0, a.nnz * b.runs);
-  const double merge = std::min(k * std::log2(k + 2.0), k + n / 32.0);
-  return n * merge;
-}
-
-/// Collects the maximal composition chain rooted at `p` left to right:
-/// a/(b/c) and (a/b)/c both flatten to [a, b, c].
-void FlattenCompose(const ppl::PplBinExpr& p,
-                    std::vector<const ppl::PplBinExpr*>* out) {
-  if (p.kind == ppl::PplBinKind::kCompose) {
-    FlattenCompose(*p.left, out);
-    FlattenCompose(*p.right, out);
-    return;
-  }
-  out->push_back(&p);
 }
 
 /// Rebuilds `node`'s composition skeleton, consuming `factors` left to
@@ -313,26 +583,40 @@ struct ChainBuilder {
   }
 };
 
+/// An expression the DP rewrote, with its estimate.
+struct Reassociated {
+  ppl::PplBinPtr expr;
+  RelationEst est;
+};
+
 /// The matrix-chain reassociation DP. Returns `p` rewritten so every
-/// maximal composition chain of >= 3 factors carries the association the
-/// cost model estimates cheapest; factor order -- and hence the denoted
-/// relation (Boolean matrix product is associative) -- is unchanged.
-/// `*chains` counts the chains whose association actually changed.
-ppl::PplBinPtr Reassociate(const ppl::PplBinExpr& p, const Tree& tree,
-                           bool dense, std::size_t* chains) {
+/// maximal composition chain of >= 2 factors carries the association the
+/// cost model estimates cheapest on the `dense` or sparse route; factor
+/// order -- and hence the denoted relation (Boolean matrix product is
+/// associative) -- is unchanged. Estimates build bottom-up alongside, so
+/// each subexpression is estimated once. `*chains` counts the chains
+/// whose association actually changed.
+Reassociated Reassociate(const ppl::PplBinExpr& p, const CostContext& c,
+                         bool dense, std::size_t* chains) {
   switch (p.kind) {
     case ppl::PplBinKind::kStep:
-      return p.Clone();
+      return {p.Clone(), StepEst(p, c)};
     case ppl::PplBinKind::kComplement:
-      return ppl::PplBinExpr::Complement(
-          Reassociate(*p.left, tree, dense, chains));
-    case ppl::PplBinKind::kFilter:
-      return ppl::PplBinExpr::Filter(
-          Reassociate(*p.left, tree, dense, chains));
-    case ppl::PplBinKind::kUnion:
-      return ppl::PplBinExpr::Union(
-          Reassociate(*p.left, tree, dense, chains),
-          Reassociate(*p.right, tree, dense, chains));
+    case ppl::PplBinKind::kFilter: {
+      Reassociated a = Reassociate(*p.left, c, dense, chains);
+      RelationEst est = OperatorEst(p.kind, a.est, nullptr, c);
+      return {p.kind == ppl::PplBinKind::kFilter
+                  ? ppl::PplBinExpr::Filter(std::move(a.expr))
+                  : ppl::PplBinExpr::Complement(std::move(a.expr)),
+              est};
+    }
+    case ppl::PplBinKind::kUnion: {
+      Reassociated a = Reassociate(*p.left, c, dense, chains);
+      Reassociated b = Reassociate(*p.right, c, dense, chains);
+      RelationEst est = OperatorEst(p.kind, a.est, &b.est, c);
+      return {ppl::PplBinExpr::Union(std::move(a.expr), std::move(b.expr)),
+              est};
+    }
     case ppl::PplBinKind::kCompose:
       break;
   }
@@ -340,56 +624,22 @@ ppl::PplBinPtr Reassociate(const ppl::PplBinExpr& p, const Tree& tree,
   std::vector<const ppl::PplBinExpr*> raw;
   FlattenCompose(p, &raw);
   std::vector<ppl::PplBinPtr> factors;
+  std::vector<RelationEst> ests;
   factors.reserve(raw.size());
+  ests.reserve(raw.size());
   for (const ppl::PplBinExpr* f : raw) {
-    factors.push_back(Reassociate(*f, tree, dense, chains));
+    Reassociated r = Reassociate(*f, c, dense, chains);
+    factors.push_back(std::move(r.expr));
+    ests.push_back(r.est);
   }
   const std::size_t k = factors.size();
-  if (k < 3) {
-    // One association exists; rebuild as parsed.
-    ppl::PplBinPtr out = std::move(factors[0]);
-    for (std::size_t i = 1; i < k; ++i) {
-      out = ppl::PplBinExpr::Compose(std::move(out), std::move(factors[i]));
-    }
-    return out;
-  }
-
-  const double n =
-      static_cast<double>(std::max<std::size_t>(tree.Stats().node_count, 1));
-  // est[i][j]: run-shape estimate of the product of factors i..j; the
-  // factor estimates come from the same SparseCost arithmetic the
-  // dense/sparse crossover uses (shape estimates are representation-
-  // independent; only the per-product cost formula differs).
-  std::vector<std::vector<SparseEst>> est(k, std::vector<SparseEst>(k));
-  std::vector<std::vector<double>> cost(k, std::vector<double>(k, 0.0));
-  std::vector<std::vector<std::size_t>> split(
-      k, std::vector<std::size_t>(k, 0));
-  for (std::size_t i = 0; i < k; ++i) est[i][i] = SparseCost(*raw[i], tree);
-  for (std::size_t len = 2; len <= k; ++len) {
-    for (std::size_t i = 0; i + len <= k; ++i) {
-      const std::size_t j = i + len - 1;
-      double best = std::numeric_limits<double>::infinity();
-      std::size_t best_s = i;
-      for (std::size_t s = i; s < j; ++s) {
-        const double c = cost[i][s] + cost[s + 1][j] +
-                         ComposeStepCost(est[i][s], est[s + 1][j], n, dense);
-        if (c < best) {
-          best = c;
-          best_s = s;
-        }
-      }
-      cost[i][j] = best;
-      split[i][j] = best_s;
-      est[i][j] = ComposeEstimates(est[i][best_s], est[best_s + 1][j], n);
-    }
-  }
-
+  const ChainDp dp(std::move(ests), c, dense);
   std::size_t next = 0;
   const ppl::PplBinPtr parsed = CloneSkeleton(p, factors, &next);
-  ChainBuilder builder{split, factors};
+  ChainBuilder builder{dp.split, factors};
   ppl::PplBinPtr optimized = builder.Build(0, k - 1);
   if (!optimized->Equals(*parsed)) ++*chains;
-  return optimized;
+  return {std::move(optimized), dp.est[0][k - 1]};
 }
 
 }  // namespace
@@ -429,8 +679,7 @@ std::string_view StreamBackingName(StreamBacking backing) {
 bool ExecutionPlan::operator==(const ExecutionPlan& other) const {
   if (engine != other.engine || shape != other.shape ||
       row_restricted != other.row_restricted || backing != other.backing ||
-      repr != other.repr || cost != other.cost ||
-      alternative_cost != other.alternative_cost ||
+      repr != other.repr || cost != other.cost || routes != other.routes ||
       chains_reassociated != other.chains_reassociated) {
     return false;
   }
@@ -442,7 +691,7 @@ bool ExecutionPlan::operator==(const ExecutionPlan& other) const {
 
 std::string ExecutionPlan::DebugString() const {
   char buf[192];
-  std::snprintf(buf, sizeof(buf), "%s/%s%s%s%s%s%s cost=%.3g alt=%.3g",
+  std::snprintf(buf, sizeof(buf), "%s/%s%s%s%s%s%s cost=%.3g",
                 std::string(EnginePlanName(engine)).c_str(),
                 std::string(ResultShapeName(shape)).c_str(),
                 row_restricted ? " row-restricted" : "",
@@ -454,13 +703,89 @@ std::string ExecutionPlan::DebugString() const {
                 repr != MatrixRepr::kDense
                     ? std::string(MatrixReprName(repr)).c_str()
                     : "",
-                cost, alternative_cost);
+                cost);
   std::string out = buf;
+  if (engine != EnginePlan::kNaryAnswer) {
+    std::snprintf(buf, sizeof(buf), " gkp=%.3g dense=%.3g sparse=%.3g",
+                  routes.gkp, routes.dense, routes.sparse);
+    out += buf;
+  }
   if (chains_reassociated > 0) {
     std::snprintf(buf, sizeof(buf), " reassoc=%u", chains_reassociated);
     out += buf;
   }
   return out;
+}
+
+RouteCosts PriceRoutes(const CompiledQuery& q, const Tree& tree,
+                       ResultShape shape, bool parse_order, RouteOps* ops) {
+  RouteCosts routes;
+  if (q.pplbin == nullptr) return routes;
+  // Representation matters only where the matrix engine materializes
+  // relations: full-relation shapes, and monadic plans whose complement
+  // structure forces sub-matrices. Above the dense ceiling no dense
+  // n x n form exists, so dense routes -- and GKP's dense full-relation
+  // answer -- are inadmissible there, and sparse is admissible whatever
+  // its peak estimate: the engine's run budget is the enforceable bound
+  // (a genuinely dense instance trips kResourceExhausted at the first
+  // over-budget merge). Under the ceiling a sparse route whose estimated
+  // peak run bytes exceed the budget is inadmissible; dense takes it.
+  const CostContext c(tree);
+  const double n = c.n;
+  const bool monadic = shape != ResultShape::kFullRelation;
+  const bool materializes = !monadic || HasNonStepComplement(*q.pplbin);
+  const bool dense_ok =
+      !materializes || n <= static_cast<double>(BitMatrix::kMaxDenseNodes);
+  // Each matrix route is priced in the association it executes: the
+  // DP's pick for its representation, or as parsed when forced.
+  const Association dense_assoc =
+      parse_order ? Association::kParsed : Association::kDense;
+  const Association sparse_assoc =
+      parse_order ? Association::kParsed : Association::kSparse;
+  const RelationEst est =
+      materializes ? Estimate(*q.pplbin, c, sparse_assoc) : RelationEst{};
+  const bool sparse_ok =
+      !dense_ok || !materializes ||
+      SparsePeakBytes(est, n) <= static_cast<double>(kSparseEvalByteBudget);
+  RouteOps counts;
+  if (monadic) {
+    counts.dense = Monadic(*q.pplbin, c, dense_assoc, /*dense=*/true);
+    counts.sparse = materializes
+                        ? Monadic(*q.pplbin, c, sparse_assoc, /*dense=*/false)
+                        : counts.dense;
+    // Both engines run the identical node-set propagation on a positive
+    // query; PlanQuery's tie-break prefers GKP (it shares the
+    // filter-domain cache across calls).
+    counts.gkp = counts.dense;
+  } else {
+    counts.dense = Estimate(*q.pplbin, c, dense_assoc).dense;
+    // Under the ceiling the payload is dense: the runs are expanded.
+    counts.sparse = est.sparse;
+    if (dense_ok) {
+      counts.sparse +=
+          Words(n * c.wpr) + Runs(n * est.runs) + OpCounts{.row = n};
+    }
+    counts.gkp = GkpFull(*q.pplbin, q.pplbin_size, est, c);
+  }
+  const OpCounts build = AxisBuild(MatrixAxes(*q.pplbin, !monadic), c);
+  counts.dense += build;
+  counts.sparse += build;
+  if (materializes) {
+    // The memory each route holds at its widest point, which is what
+    // peak RSS sees: a product's three packed matrices, or the estimated
+    // peak of live runs plus their row offsets.
+    counts.dense += Resident(3.0 * n * c.wpr);
+    counts.sparse += Resident(est.peak_runs + 1.5 * n);
+  }
+  if (ops != nullptr) *ops = counts;
+  // GKP evaluates positive queries only, and its full-relation answer is
+  // a dense matrix: inadmissible wherever dense is.
+  const UnitPrices& prices = kFittedUnitPrices;
+  routes.gkp = q.positive && (monadic || dense_ok) ? counts.gkp.Ns(prices)
+                                                   : kInf;
+  routes.dense = dense_ok ? counts.dense.Ns(prices) : kInf;
+  routes.sparse = sparse_ok ? counts.sparse.Ns(prices) : kInf;
+  return routes;
 }
 
 ExecutionPlan PlanQuery(const CompiledQuery& q, const Tree& tree,
@@ -479,14 +804,14 @@ ExecutionPlan PlanQuery(const CompiledQuery& q, const Tree& tree,
     // payload derived from the answer set -- except kTupleStream, where
     // the planner additionally picks the stream backing.
     plan.engine = EnginePlan::kNaryAnswer;
-    plan.cost = n * n;
+    plan.cost = kFittedUnitPrices.word * n * n;
     if (shape != ResultShape::kTupleStream) return plan;
     if (q.acq == nullptr) {
       // Unions are outside the enumerable (Prop. 8) class: the stream
       // serves a cursor over the materialized Fig. 8 answer set.
       plan.backing = StreamBacking::kMaterialized;
-      plan.cost = n * n * static_cast<double>(std::max<std::size_t>(
-                              q.hcl_size, 1));
+      plan.cost = kFittedUnitPrices.word * n * n *
+                  static_cast<double>(std::max<std::size_t>(q.hcl_size, 1));
       return plan;
     }
     // Enumeration vs materialization. Enumeration pays, in word ops,
@@ -522,15 +847,9 @@ ExecutionPlan PlanQuery(const CompiledQuery& q, const Tree& tree,
           enum_preproc + static_cast<double>(stream_limit) * enum_delay;
       enumerate = enum_cost <= mat_cost;
     }
-    if (enumerate) {
-      plan.backing = StreamBacking::kEnumerator;
-      plan.cost = enum_cost;
-      plan.alternative_cost = mat_cost;
-    } else {
-      plan.backing = StreamBacking::kMaterialized;
-      plan.cost = mat_cost;
-      plan.alternative_cost = enum_cost;
-    }
+    plan.backing =
+        enumerate ? StreamBacking::kEnumerator : StreamBacking::kMaterialized;
+    plan.cost = kFittedUnitPrices.word * (enumerate ? enum_cost : mat_cost);
     return plan;
   }
 
@@ -540,85 +859,34 @@ ExecutionPlan PlanQuery(const CompiledQuery& q, const Tree& tree,
   if (shape == ResultShape::kTupleStream) {
     plan.backing = StreamBacking::kNodeSet;
   }
+  plan.routes = PriceRoutes(q, tree, shape, force_parse_order);
   const bool monadic = shape != ResultShape::kFullRelation;
-  const double matrix_cost = monadic
-                                 ? MatrixMonadicCost(*q.pplbin, n)
-                                 : MatrixFullCost(q.pplbin_size, n);
-  double gkp_cost = std::numeric_limits<double>::infinity();
-  if (q.positive) {
-    // Monadic: both engines run the identical BitVector propagation on a
-    // positive query, so the costs tie and the tie-break below prefers
-    // GKP (it shares the filter-domain cache across calls).
-    gkp_cost = monadic ? matrix_cost
-                       : static_cast<double>(q.pplbin_size) * n *
-                             (1.0 + DomainBound(*q.pplbin, tree));
+
+  // Cheapest admissible route; ties go to GKP, then dense. A forced
+  // engine or representation (tests, ablations) overrides the pick but
+  // not the prices.
+  EnginePlan chosen = EnginePlan::kMatrixGeneral;
+  MatrixRepr repr = plan.routes.sparse < plan.routes.dense
+                        ? MatrixRepr::kSparse
+                        : MatrixRepr::kDense;
+  if (plan.routes.gkp <= std::min(plan.routes.dense, plan.routes.sparse)) {
+    chosen = EnginePlan::kGkpPositive;
   }
-
-  EnginePlan chosen = gkp_cost <= matrix_cost ? EnginePlan::kGkpPositive
-                                              : EnginePlan::kMatrixGeneral;
-
-  // Dense/sparse crossover. Representation matters only where the matrix
-  // engine materializes relations: full-relation shapes, and monadic
-  // plans whose complement structure forces sub-matrices. Under the
-  // ceiling the decision compares the dense word-op cost against the
-  // run-merge estimate. Above the dense ceiling, where the dense route
-  // does not exist at all, the planner always routes such work onto the
-  // sparse matrix engine (lifting the old unconditional refusal): the
-  // run-shape estimate is averages-only and cannot see run coalescing
-  // (a composed step on a deep path produces one run per row where the
-  // estimate predicts n), so refusing on it would deny instances that
-  // evaluate fine. The engine's own run budget is the enforceable bound
-  // -- a genuinely dense instance trips kResourceExhausted at the first
-  // over-budget merge instead of allocating past the budget.
-  const bool materializes =
-      !monadic || HasNonStepComplement(*q.pplbin);
-  const bool over_ceiling =
-      n > static_cast<double>(BitMatrix::kMaxDenseNodes);
-  double sparse_cost = std::numeric_limits<double>::infinity();
-  MatrixRepr repr = MatrixRepr::kDense;
-  if (materializes) {
-    const SparseEst est = SparseCost(*q.pplbin, tree);
-    const bool fits =
-        SparsePeakBytes(est, n) <=
-        static_cast<double>(kSparseEvalByteBudget);
-    if (fits) sparse_cost = est.cost;
-    if (over_ceiling) {
-      repr = MatrixRepr::kSparse;
-      if (!monadic && !force_engine.has_value()) {
-        // Only the matrix engine has sparse full-relation kernels.
-        chosen = EnginePlan::kMatrixGeneral;
-      }
-    } else if (sparse_cost < matrix_cost) {
-      repr = MatrixRepr::kSparse;
-    }
-  }
-
   if (force_engine.has_value()) chosen = *force_engine;
   // A forced representation without a forced engine routes to the matrix
   // engine -- the only engine with a representation to force.
-  if (force_repr.has_value() && !force_engine.has_value()) {
-    chosen = EnginePlan::kMatrixGeneral;
+  if (force_repr.has_value()) {
+    if (!force_engine.has_value()) chosen = EnginePlan::kMatrixGeneral;
+    repr = *force_repr;
   }
   plan.engine = chosen;
   plan.row_restricted = monadic;
   if (chosen == EnginePlan::kMatrixGeneral) {
-    plan.repr = force_repr.value_or(repr);
-    plan.cost = plan.repr == MatrixRepr::kSparse &&
-                        sparse_cost !=
-                            std::numeric_limits<double>::infinity()
-                    ? sparse_cost
-                    : matrix_cost;
-    if (materializes &&
-        sparse_cost != std::numeric_limits<double>::infinity()) {
-      plan.alternative_cost =
-          plan.repr == MatrixRepr::kSparse ? matrix_cost : sparse_cost;
-    }
+    plan.repr = repr;
+    plan.cost =
+        repr == MatrixRepr::kSparse ? plan.routes.sparse : plan.routes.dense;
   } else {
-    plan.cost = chosen == EnginePlan::kGkpPositive ? gkp_cost : matrix_cost;
-  }
-  if (q.positive && plan.alternative_cost == 0.0) {
-    plan.alternative_cost =
-        chosen == EnginePlan::kGkpPositive ? matrix_cost : gkp_cost;
+    plan.cost = plan.routes.gkp;
   }
 
   // Composition-chain reassociation: only matrix plans that materialize
@@ -626,13 +894,14 @@ ExecutionPlan PlanQuery(const CompiledQuery& q, const Tree& tree,
   // association-invariant), and forced parse-order plans are the
   // differential baseline.
   if (!force_parse_order && plan.engine == EnginePlan::kMatrixGeneral &&
-      materializes) {
+      (!monadic || HasNonStepComplement(*q.pplbin))) {
     std::size_t chains = 0;
-    ppl::PplBinPtr opt = Reassociate(
-        *q.pplbin, tree, plan.repr != MatrixRepr::kSparse, &chains);
+    Reassociated opt =
+        Reassociate(*q.pplbin, CostContext(tree),
+                    plan.repr != MatrixRepr::kSparse, &chains);
     if (chains > 0) {
       plan.reassociated =
-          std::shared_ptr<const ppl::PplBinExpr>(std::move(opt));
+          std::shared_ptr<const ppl::PplBinExpr>(std::move(opt.expr));
       plan.chains_reassociated = static_cast<std::uint32_t>(chains);
     }
   }

@@ -4,9 +4,12 @@
 // CompileQuery (engine/compiled_query.h) is tree-independent and records
 // every admissible engine; this layer picks one per (compiled query,
 // tree, result shape) using the Tree::Stats() statistics that
-// TreeBuilder::Finish() precomputes -- node count, depth, fanout, label
-// posting-list sizes. The decision follows the paper's complexity
-// landscape, made quantitative:
+// TreeBuilder::Finish() precomputes -- node count, label posting-list
+// sizes, and the exact mean cells and runs per row of each axis
+// relation. Every admissible route (GKP, dense matrix, sparse matrix) is
+// priced in estimated nanoseconds and the cheapest wins, in one
+// comparison. The decision follows the paper's complexity landscape,
+// made quantitative:
 //
 //   engine          full relation              monadic (row-restricted)
 //   kGkpPositive    O(|P| |t| |domain|)        O(|P| |t|)
@@ -39,6 +42,7 @@
 #define XPV_ENGINE_PLANNER_H_
 
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <optional>
 #include <string>
@@ -91,6 +95,89 @@ enum class StreamBacking {
 
 std::string_view StreamBackingName(StreamBacking backing);
 
+/// The planner's price of each route of a binary query, in estimated
+/// nanoseconds on the reference machine (engine/planner.cc fits the unit
+/// prices). +infinity marks a route that is inadmissible for this
+/// (query, tree, shape): GKP on a query with complement, or on a full
+/// relation above the dense ceiling; dense above the ceiling wherever the
+/// plan materializes relations; sparse under the ceiling when its
+/// estimated peak run bytes exceed kSparseEvalByteBudget. The dense and
+/// sparse routes are the matrix engine in that representation; where it
+/// materializes nothing (monadic, no complement of a non-step) both cost
+/// the same. N-ary plans leave all three infinite.
+struct RouteCosts {
+  double gkp = std::numeric_limits<double>::infinity();
+  double dense = std::numeric_limits<double>::infinity();
+  double sparse = std::numeric_limits<double>::infinity();
+
+  bool operator==(const RouteCosts&) const = default;
+};
+
+/// Unit prices of the planner's cost model, in estimated nanoseconds per
+/// operation on the reference machine. Every route estimate counts
+/// operations of these kinds (and the memory they leave resident), so GKP, dense and sparse estimates
+/// share one unit and the planner picks a route in one comparison.
+struct UnitPrices {
+  /// One node visited by one image sweep (AxisImage, GKP and monadic).
+  double visit;
+  /// One 64-bit word of a freshly allocated packed matrix, written by a
+  /// dense leaf, operator or product, or by a densification. Includes
+  /// the first-touch page faults of the allocation.
+  double word;
+  /// One 64-bit word OR-ed or scanned in cache-resident rows: the dense
+  /// product's row ORs, the sparse kernels' accumulator rows and their
+  /// scans of packed axis rows.
+  double hot_word;
+  /// One comparison of a sparse product's sort-merge of gathered runs.
+  double compare;
+  /// One run gathered, copied or emitted by a run-list kernel.
+  double run;
+  /// One row of a run-list kernel: its fixed per-row work (offsets,
+  /// sealing, loop setup), which dominates on small trees.
+  double row;
+  /// One 64-bit word a route leaves resident in the RelationCache, which
+  /// keeps every interior result (n x n bits dense, the runs sparse).
+  /// Not a time: the exchange rate at which the planner trades speed for
+  /// memory -- not fitted, see docs/ARCHITECTURE.md.
+  double resident_word;
+};
+
+/// Operation counts of one route estimate, by the kinds UnitPrices
+/// prices; Ns() is the estimate in nanoseconds.
+struct OpCounts {
+  double visit = 0.0;
+  double word = 0.0;
+  double hot_word = 0.0;
+  double compare = 0.0;
+  double run = 0.0;
+  double row = 0.0;
+  double resident_word = 0.0;
+
+  double Ns(const UnitPrices& p) const {
+    return visit * p.visit + word * p.word + hot_word * p.hot_word +
+           compare * p.compare + run * p.run + row * p.row +
+           resident_word * p.resident_word;
+  }
+  OpCounts& operator+=(const OpCounts& o) {
+    visit += o.visit;
+    word += o.word;
+    hot_word += o.hot_word;
+    compare += o.compare;
+    run += o.run;
+    row += o.row;
+    resident_word += o.resident_word;
+    return *this;
+  }
+  friend OpCounts operator+(OpCounts a, const OpCounts& b) { return a += b; }
+};
+
+/// The prices PlanQuery uses, fitted on cold forced-route runs by
+/// bench/bench_planner_calibration.cc (method and fit in
+/// docs/ARCHITECTURE.md, "Query planner"). Refit after changing a kernel.
+inline constexpr UnitPrices kFittedUnitPrices{
+    .visit = 0.34, .word = 3.3, .hot_word = 0.23, .compare = 0.0, .run = 0.29,
+    .row = 37.0, .resident_word = 10.0};
+
 /// The planner's decision for one (compiled query, tree, shape): which
 /// engine runs and whether it takes the row-restricted entry point.
 struct ExecutionPlan {
@@ -103,17 +190,17 @@ struct ExecutionPlan {
   /// kTupleStream plans only: how the stream produces tuples.
   StreamBacking backing = StreamBacking::kNone;
   /// Matrix-engine plans that materialize relations: which representation
-  /// the engine composes in. The planner's dense/sparse crossover picks
-  /// kDense or kSparse per (tree stats, label selectivity, query shape);
-  /// kAuto appears only via a forced override (QueryJob::repr_override)
-  /// and lets the engine switch per node. Non-matrix plans keep the
-  /// default (their execution never consults it).
+  /// the engine composes in -- kDense or kSparse, whichever route was
+  /// cheaper; kAuto appears only via a forced override
+  /// (QueryJob::repr_override) and lets the engine switch per node.
+  /// Non-matrix plans keep the default (their execution never consults
+  /// it).
   MatrixRepr repr = MatrixRepr::kDense;
-  /// Cost-model estimate (in 64-bit word operations) of the chosen
-  /// route, and of the best rejected admissible engine (0 = no
-  /// alternative existed).
+  /// Estimated nanoseconds of the chosen route (of the forced one, when
+  /// an override picked it), and every binary route's price -- what the
+  /// planner rejected and at what price.
   double cost = 0.0;
-  double alternative_cost = 0.0;
+  RouteCosts routes;
   /// Matrix plans that materialize relations: the query rewritten by the
   /// matrix-chain reassociation DP (composition chains re-parenthesized
   /// into the estimated-cheapest association; factor order, and hence
@@ -131,7 +218,8 @@ struct ExecutionPlan {
   /// -- the reassociated expression by structure, not pointer.
   bool operator==(const ExecutionPlan& other) const;
 
-  /// E.g. "gkp-positive/from-root-set row-restricted cost=1.2e3 alt=5e6".
+  /// E.g. "gkp-positive/full-relation cost=1.2e+06 gkp=1.2e+06
+  /// dense=5e+06 sparse=inf"; the route prices print for binary plans.
   std::string DebugString() const;
 };
 
@@ -150,8 +238,9 @@ struct ExecutionPlan {
 /// everything) and steers the enumeration-vs-materialization choice --
 /// a small limit amortizes the enumerator's preprocessing over few
 /// tuples but skips materializing an answer set the caller will never
-/// read. Stream plans are NOT memoized in the PlanMemo (their key would
-/// need the limit); OpenStream plans per call, which is cheap.
+/// read. Only binary stream plans (whose backing ignores the limit) are
+/// memoized in the PlanMemo; OpenStream plans n-ary streams per call,
+/// which is cheap.
 /// `force_repr` (tests, ablations) pins the matrix representation the
 /// plan executes with, bypassing the crossover (and, in QueryService, the
 /// PlanMemo -- forced plans are never memoized).
@@ -175,6 +264,23 @@ ExecutionPlan PlanQuery(const CompiledQuery& q, const Tree& tree,
                         std::size_t stream_limit = 0,
                         std::optional<MatrixRepr> force_repr = {},
                         bool force_parse_order = false);
+
+/// The operation counts behind each route's price, admissible or not.
+struct RouteOps {
+  OpCounts gkp;
+  OpCounts dense;
+  OpCounts sparse;
+};
+
+/// The pricing half of PlanQuery: every route of the binary query `q` for
+/// `shape` on `tree` at kFittedUnitPrices, matrix routes in the
+/// association the reassociation DP picks for them (as parsed with
+/// `parse_order`). All routes are infinite for n-ary queries. With `ops`
+/// set, also reports the operation counts behind the prices -- what the
+/// calibration bench fits the prices on.
+RouteCosts PriceRoutes(const CompiledQuery& q, const Tree& tree,
+                       ResultShape shape, bool parse_order = false,
+                       RouteOps* ops = nullptr);
 
 /// True when executing `plan` for `q` must materialize at least one dense
 /// |t| x |t| BitMatrix: every kNaryAnswer plan (the HCL / Fig. 8

@@ -671,19 +671,21 @@ Result<QueryStream> QueryService::OpenStream(DocumentId document,
   std::shared_ptr<AxisCache> cache = store_->AxisCacheFor(document);
   const Tree* tree = &doc->tree();
   return OpenStreamImpl(std::move(doc), tree, std::move(cache),
-                        store_->RelationCacheFor(document), query, options);
+                        store_->RelationCacheFor(document),
+                        store_->PlanMemoFor(document), query, options);
 }
 
 Result<QueryStream> QueryService::OpenStream(const Tree& tree,
                                              std::string_view query,
                                              StreamOptions options) {
   return OpenStreamImpl(nullptr, &tree, std::make_shared<AxisCache>(tree),
-                        nullptr, query, options);
+                        nullptr, nullptr, query, options);
 }
 
 Result<QueryStream> QueryService::OpenStreamImpl(
     DocumentPtr doc, const Tree* tree, std::shared_ptr<AxisCache> cache,
-    std::shared_ptr<ppl::RelationCache> relations, std::string_view query,
+    std::shared_ptr<ppl::RelationCache> relations,
+    std::shared_ptr<PlanMemo> plans, std::string_view query,
     StreamOptions options) {
   if (tree == nullptr || tree->empty()) {
     return Status::InvalidArgument("stream has no tree");
@@ -700,12 +702,20 @@ Result<QueryStream> QueryService::OpenStreamImpl(
   if (!compiled.ok()) return compiled.status();
 
   // Plan with the caller's tuple budget (offset tuples are produced and
-  // discarded, so they count). Stream plans are cheap and depend on the
-  // limit, so they bypass the per-document PlanMemo.
+  // discarded, so they count). Only n-ary backings depend on the budget:
+  // a binary query streams its from-root node set whatever the limit, so
+  // its stream plan is memoized per document like a batch plan.
   const std::size_t budget =
       options.limit == 0 ? 0 : options.offset + options.limit;
-  ExecutionPlan plan = PlanQuery(**compiled, *tree,
-                                 ResultShape::kTupleStream, {}, budget);
+  const auto plan_stream = [&] {
+    return PlanQuery(**compiled, *tree, ResultShape::kTupleStream, {},
+                     budget);
+  };
+  ExecutionPlan plan =
+      plans != nullptr && (*compiled)->pplbin != nullptr
+          ? plans->GetOrCompute((*compiled)->canonical_text,
+                                ResultShape::kTupleStream, plan_stream)
+          : plan_stream();
 
   // Same dense ceiling as RunJob: n-ary stream backings (enumerator
   // preprocessing and Fig. 8 materialization alike) build n x n

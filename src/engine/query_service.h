@@ -370,7 +370,8 @@ class QueryService {
   /// inflight slot, and builds the stream state.
   Result<QueryStream> OpenStreamImpl(
       DocumentPtr doc, const Tree* tree, std::shared_ptr<AxisCache> cache,
-      std::shared_ptr<ppl::RelationCache> relations, std::string_view query,
+      std::shared_ptr<ppl::RelationCache> relations,
+      std::shared_ptr<PlanMemo> plans, std::string_view query,
       StreamOptions options);
 
   /// Resolves documents/caches and builds the per-shard job groups.

@@ -14,6 +14,7 @@
 
 #include <array>
 #include <string_view>
+#include <tuple>
 
 #include "common/bit_matrix.h"
 #include "common/bool_matrix.h"
@@ -40,6 +41,10 @@ inline constexpr std::array<Axis, 7> kAllAxes = {
     Axis::kPrecedingSibling,
 };
 
+static_assert(kAllAxes.size() ==
+                  std::tuple_size_v<decltype(TargetStats::axes)>,
+              "the shape statistics keep one AxisShape per axis");
+
 /// XPath surface syntax name, e.g. "following_sibling".
 std::string_view AxisName(Axis axis);
 /// Parses an axis name; accepts both `following_sibling` and the XPath
@@ -49,6 +54,20 @@ Result<Axis> ParseAxis(std::string_view name);
 /// The inverse relation's axis: child <-> parent, descendant <-> ancestor,
 /// following_sibling <-> preceding_sibling, self <-> self.
 Axis InverseAxis(Axis axis);
+
+/// The shape of A(t): mean cells and runs per row of the canonical run
+/// form AxisIntervalMatrix builds (Tree::AxisShapes()).
+inline const AxisShape& AxisShapeOf(const Tree& t, Axis axis) {
+  return t.AxisShapes()[static_cast<std::size_t>(axis)];
+}
+
+/// The mean shape of a B-row at the target of an A-cell (Tree::
+/// Targets()): what the composition A/B gathers per cell.
+inline const AxisShape& TargetShapeOf(const TargetStats& targets, Axis a,
+                                      Axis b) {
+  return targets.axes[static_cast<std::size_t>(a)]
+                     [static_cast<std::size_t>(b)];
+}
 
 /// True iff (u, v) is in A(t), i.e. navigating axis A from u reaches v.
 bool AxisHolds(const Tree& t, Axis axis, NodeId u, NodeId v);

@@ -4,6 +4,10 @@
 #include <atomic>
 #include <cassert>
 #include <cctype>
+#include <mutex>
+#include <numeric>
+
+#include "tree/axes.h"
 
 namespace xpv {
 
@@ -95,6 +99,239 @@ void Tree::BuildIndexes() {
         std::min(stats_.min_label_posting, postings.size());
   }
   if (label_postings_.empty()) stats_.min_label_posting = 0;
+  ResetShapeStats();
+}
+
+namespace {
+
+/// The axes whose rows vary in shape from node to node; self and parent
+/// rows hold one cell (none for the root's parent row).
+constexpr std::size_t kVarying = 5;
+constexpr Axis kVaryingAxes[kVarying] = {
+    Axis::kChild, Axis::kDescendant, Axis::kAncestor,
+    Axis::kFollowingSibling, Axis::kPrecedingSibling};
+
+constexpr std::size_t At(Axis a) { return static_cast<std::size_t>(a); }
+
+/// sum_v w[v] * x[v], exactly: 64-bit integer partial sums over chunks
+/// short enough not to overflow, folded into a double.
+double Dot(const std::vector<std::uint32_t>& w,
+           const std::vector<std::uint32_t>& x) {
+  constexpr std::size_t kChunk = 1 << 12;
+  double total = 0.0;
+  for (std::size_t begin = 0; begin < w.size(); begin += kChunk) {
+    const std::size_t end = std::min(w.size(), begin + kChunk);
+    std::uint64_t partial = 0;
+    for (std::size_t v = begin; v < end; ++v) {
+      partial += std::uint64_t{w[v]} * x[v];
+    }
+    total += static_cast<double>(partial);
+  }
+  return total;
+}
+
+double Sum(const std::vector<std::uint32_t>& x) {
+  return std::accumulate(x.begin(), x.end(), 0.0);
+}
+
+}  // namespace
+
+/// Tree::AxisShapes() and Tree::Targets(), each computed on first use.
+struct Tree::LazyShapes {
+  std::once_flag axes_once;
+  std::array<AxisShape, kAllAxes.size()> axes{};
+  std::once_flag targets_once;
+  TargetStats targets;
+};
+
+void Tree::ResetShapeStats() { shapes_ = std::make_shared<LazyShapes>(); }
+
+const std::array<AxisShape, 7>& Tree::AxisShapes() const {
+  static const std::array<AxisShape, 7> kEmpty{};
+  if (shapes_ == nullptr) return kEmpty;
+  std::call_once(shapes_->axes_once,
+                 [this] { shapes_->axes = ComputeAxisShapes(); });
+  return shapes_->axes;
+}
+
+const TargetStats& Tree::Targets() const {
+  static const TargetStats kEmpty{};
+  if (shapes_ == nullptr) return kEmpty;
+  std::call_once(shapes_->targets_once,
+                 [this] { shapes_->targets = ComputeTargets(); });
+  return shapes_->targets;
+}
+
+void Tree::ComputeRowShapes(RowShapes* cells, RowShapes* runs) const {
+  // Each recurrence mirrors how AxisIntervalMatrix (tree/axes.cc) lays
+  // out the canonical runs of a row, so the totals are exact. Only array
+  // reads, no pointer chasing: on a corrupt-but-range-checked snapshot
+  // the sweeps stay bounded and merely yield wrong statistics.
+  const std::size_t n = parent_.size();
+  enum { kC, kD, kA, kF, kP };  // kVaryingAxes order
+  for (std::size_t i = 0; i < kVarying; ++i) {
+    (*cells)[i].assign(n, 0);
+    (*runs)[i].assign(n, 0);
+  }
+  for (std::size_t v = 0; v < n; ++v) {
+    (*cells)[kD][v] = subtree_size_[v] - 1;
+    (*runs)[kD][v] = subtree_size_[v] > 1 ? 1 : 0;
+    const NodeId p = parent_[v];
+    const NodeId ps = prev_sibling_[v];
+    if (p != kNoNode && p < v) {
+      ++(*cells)[kC][p];
+      // A child opens a new run in its parent's row unless it directly
+      // follows a leaf sibling (consecutive ids).
+      if (ps == kNoNode || ps + 1 != v) ++(*runs)[kC][p];
+      // Row v = row p + {p}; p extends row p's last run iff that run ends
+      // at p, i.e. p is the first child of its own parent (id p - 1).
+      const bool p_extends = p > 0 && parent_[p] == p - 1;
+      (*cells)[kA][v] = depth_[v];
+      (*runs)[kA][v] = (*runs)[kA][p] + (p_extends ? 0 : 1);
+    }
+    if (ps != kNoNode && ps < v) {
+      // Row v = row ps + {ps}; ps extends row ps's last run iff that run
+      // ends at ps, i.e. ps's own previous sibling is the leaf ps - 1.
+      const NodeId pps = prev_sibling_[ps];
+      const bool extends = pps != kNoNode && pps + 1 == ps;
+      (*cells)[kP][v] = (*cells)[kP][ps] + 1;
+      (*runs)[kP][v] = (*runs)[kP][ps] + (extends ? 0 : 1);
+    }
+  }
+  // following_sibling: row v = {ns} + row ns, where ns has the larger id;
+  // {ns} joins row ns's first run iff ns is a leaf followed by a sibling.
+  for (std::size_t v = n; v-- > 0;) {
+    const NodeId ns = next_sibling_[v];
+    if (ns == kNoNode || ns <= v) continue;
+    const bool joins = (*runs)[kF][ns] > 0 && subtree_size_[ns] == 1;
+    (*cells)[kF][v] = (*cells)[kF][ns] + 1;
+    (*runs)[kF][v] = (*runs)[kF][ns] + (joins ? 0 : 1);
+  }
+}
+
+std::array<AxisShape, 7> Tree::ComputeAxisShapes() const {
+  std::array<AxisShape, 7> shapes{};
+  const std::size_t n = parent_.size();
+  if (n == 0) return shapes;
+  RowShapes cells;
+  RowShapes runs;
+  ComputeRowShapes(&cells, &runs);
+  const double dn = static_cast<double>(n);
+  shapes[At(Axis::kSelf)] = {1.0, 1.0};
+  // Every node but the root has one parent cell.
+  shapes[At(Axis::kParent)] = {(dn - 1.0) / dn, (dn - 1.0) / dn};
+  for (std::size_t i = 0; i < kVarying; ++i) {
+    shapes[At(kVaryingAxes[i])] = {Sum(cells[i]) / dn, Sum(runs[i]) / dn};
+  }
+  return shapes;
+}
+
+TargetStats Tree::ComputeTargets() const {
+  TargetStats out;
+  {
+    const std::size_t n = parent_.size();
+    if (n == 0) return out;
+    RowShapes cells;
+    RowShapes runs;
+    ComputeRowShapes(&cells, &runs);
+    // The in-degree of v under A is its row size under the inverse axis:
+    // 1 (self), "has a parent" (child), or a varying axis's cell count.
+    enum { kC, kD, kA, kF, kP };  // ComputeRowShapes' order
+    const auto in_degree = [&](Axis a, std::size_t v) -> double {
+      switch (a) {
+        case Axis::kSelf:
+          return 1.0;
+        case Axis::kChild:
+          return parent_[v] != kNoNode ? 1.0 : 0.0;
+        case Axis::kParent:
+          return cells[kC][v];
+        case Axis::kDescendant:
+          return cells[kA][v];
+        case Axis::kAncestor:
+          return cells[kD][v];
+        case Axis::kFollowingSibling:
+          return cells[kP][v];
+        case Axis::kPrecedingSibling:
+          return cells[kF][v];
+      }
+      return 0.0;
+    };
+    const double dn = static_cast<double>(n);
+    std::array<double, kAllAxes.size()> weight{};
+    weight[At(Axis::kSelf)] = dn;
+    weight[At(Axis::kChild)] = dn - 1.0;
+    const std::array<AxisShape, 7>& axis_shapes = AxisShapes();
+    out.axes[At(Axis::kSelf)] = axis_shapes;
+    for (Axis b : kAllAxes) {
+      // The root's own B-row, which weight "has a parent" leaves out.
+      double root_cells = b == Axis::kSelf ? 1.0 : 0.0;
+      double root_runs = root_cells;
+      for (std::size_t i = 0; i < kVarying; ++i) {
+        if (kVaryingAxes[i] != b) continue;
+        root_cells = cells[i][0];
+        root_runs = runs[i][0];
+      }
+      if (n > 1) {
+        const AxisShape& mean = axis_shapes[At(b)];
+        out.axes[At(Axis::kChild)][At(b)] = {
+            (mean.cells_per_row * dn - root_cells) / (dn - 1.0),
+            (mean.runs_per_row * dn - root_runs) / (dn - 1.0)};
+      }
+    }
+    for (std::size_t wi = 0; wi < kVarying; ++wi) {
+      // cells[wi] counts, per node, the in-degree under the inverse axis.
+      const std::vector<std::uint32_t>& w = cells[wi];
+      const Axis a = InverseAxis(kVaryingAxes[wi]);
+      weight[At(a)] = Sum(w);
+      if (weight[At(a)] == 0.0) continue;
+      std::array<AxisShape, 7>& row = out.axes[At(a)];
+      row[At(Axis::kSelf)] = {1.0, 1.0};
+      // Only the root has no parent row.
+      const double parented = (weight[At(a)] - w[0]) / weight[At(a)];
+      row[At(Axis::kParent)] = {parented, parented};
+      for (std::size_t i = 0; i < kVarying; ++i) {
+        row[At(kVaryingAxes[i])] = {Dot(w, cells[i]) / weight[At(a)],
+                                    Dot(w, runs[i]) / weight[At(a)]};
+      }
+    }
+    // An L-labeled child x is a cell of the child row of its parent, so
+    // it counts the parent's in-degree under each A.
+    out.child_labels.assign(labels_.size(), {});
+    for (std::size_t x = 0; x < n; ++x) {
+      const NodeId p = parent_[x];
+      if (p == kNoNode || p >= x) continue;
+      for (Axis a : kAllAxes) {
+        out.child_labels[label_[x]][At(a)] += in_degree(a, p);
+      }
+    }
+    for (std::array<double, 7>& per_axis : out.child_labels) {
+      for (std::size_t a = 0; a < per_axis.size(); ++a) {
+        per_axis[a] = weight[a] > 0.0 ? per_axis[a] / weight[a] : 0.0;
+      }
+    }
+    out.label_shapes.assign(labels_.size(), {});
+    for (std::size_t x = 0; x < n; ++x) {
+      std::array<AxisShape, 7>& shapes = out.label_shapes[label_[x]];
+      shapes[At(Axis::kSelf)].cells_per_row += 1.0;
+      shapes[At(Axis::kSelf)].runs_per_row += 1.0;
+      const double parented = parent_[x] != kNoNode ? 1.0 : 0.0;
+      shapes[At(Axis::kParent)].cells_per_row += parented;
+      shapes[At(Axis::kParent)].runs_per_row += parented;
+      for (std::size_t i = 0; i < kVarying; ++i) {
+        shapes[At(kVaryingAxes[i])].cells_per_row += cells[i][x];
+        shapes[At(kVaryingAxes[i])].runs_per_row += runs[i][x];
+      }
+    }
+    for (LabelId l = 0; l < labels_.size(); ++l) {
+      const double count = static_cast<double>(label_postings_[l].size());
+      if (count == 0.0) continue;
+      for (AxisShape& shape : out.label_shapes[l]) {
+        shape.cells_per_row /= count;
+        shape.runs_per_row /= count;
+      }
+    }
+  }
+  return out;
 }
 
 NodeId Tree::LeastCommonAncestor(NodeId u, NodeId v) const {

@@ -23,7 +23,9 @@
 #ifndef XPV_TREE_TREE_H_
 #define XPV_TREE_TREE_H_
 
+#include <array>
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -41,12 +43,43 @@ using LabelId = std::uint32_t;
 inline constexpr NodeId kNoNode = static_cast<NodeId>(-1);
 inline constexpr LabelId kNoLabel = static_cast<LabelId>(-1);
 
+/// Shape of a set of rows of an axis relation in its canonical run-list
+/// form (tree/axes.h AxisIntervalMatrix: each row's cells as maximal runs
+/// of consecutive pre-order ids): mean set cells and mean runs per row.
+/// For Tree::AxisShapes() the rows are all of A(t), so these are the
+/// relation's total cells and runs divided by |t|, exactly.
+struct AxisShape {
+  double cells_per_row = 0.0;
+  double runs_per_row = 0.0;
+
+  bool operator==(const AxisShape&) const = default;
+};
+
+/// Shapes of the rows that a composition gathers (Tree::Targets()).
+/// Composition A/B gathers, per A-cell, the B-row at its target, and
+/// those rows can be far from B's plain mean: on a bibliography every
+/// ancestor set holds the root, whose child row holds every book.
+struct TargetStats {
+  /// axes[A][B]: the mean shape of a B-row at the target of an A-cell --
+  /// B's row totals weighted by each node's in-degree under A (indexed
+  /// by static_cast<std::size_t>(Axis), like Tree::AxisShapes()).
+  std::array<std::array<AxisShape, 7>, 7> axes{};
+  /// child_labels[L][A]: the mean number of L-labeled children of the
+  /// target of an A-cell. Labels are positional -- every child of a
+  /// bibliography's root is a book -- which L's global frequency cannot
+  /// show.
+  std::vector<std::array<double, 7>> child_labels;
+  /// label_shapes[L][B]: the mean shape of a B-row at an L-labeled node
+  /// -- the rows gathered behind a step that tests L.
+  std::vector<std::array<AxisShape, 7>> label_shapes;
+};
+
 /// Summary statistics of a built tree, precomputed by TreeBuilder::
-/// Finish() alongside the other document-order indexes. These are the
-/// inputs of the query planner's cost model (engine/planner.h): node
-/// count bounds the matrix-engine work, posting-list sizes bound the
-/// domain of label-selective queries, depth and fanout bound how far a
-/// single label can "spread" along vertical / horizontal axes.
+/// Finish() alongside the other document-order indexes. With the shape
+/// statistics (Tree::AxisShapes(), Tree::Targets()) these are the inputs
+/// of the query planner's cost model (engine/planner.h): node count
+/// bounds the matrix-engine work, posting-list sizes bound the domain of
+/// label-selective queries.
 struct TreeStats {
   std::size_t node_count = 0;
   /// Depth of the deepest node (root = 0).
@@ -59,6 +92,7 @@ struct TreeStats {
   /// nonempty trees.
   std::size_t max_label_posting = 0;
   std::size_t min_label_posting = 0;
+  bool operator==(const TreeStats&) const = default;
 };
 
 /// An unranked sibling-ordered tree over an interned label alphabet.
@@ -107,6 +141,17 @@ class Tree {
   std::size_t LabelFrequency(std::string_view name) const;
   /// Precomputed summary statistics (the planner's cost-model inputs).
   const TreeStats& Stats() const { return stats_; }
+  /// The planner's shape statistics, each O(|t|) and computed once per
+  /// tree on first use (thread-safe) rather than in Finish(), so building
+  /// or reloading a tree that is never planned does not pay for them.
+  /// Not serialized: a snapshot-decoded tree computes them the same way.
+  ///
+  /// AxisShapes()[A]: the exact mean cells and runs per row of A(t),
+  /// indexed by static_cast<std::size_t>(Axis) (tree/axes.h kAllAxes
+  /// order; read them through AxisShapeOf).
+  const std::array<AxisShape, 7>& AxisShapes() const;
+  /// The shapes of the rows a composition gathers (TargetStats).
+  const TargetStats& Targets() const;
 
   /// True iff u is an ancestor of v or u == v (the paper's ch*). O(1) by
   /// the pre-order interval containment test.
@@ -178,6 +223,19 @@ class Tree {
   /// Computes the document-order indexes (depth, subtree size, post-order,
   /// binary-lifting table, posting lists). Called once from Finish().
   void BuildIndexes();
+  /// Per-node cells and runs of the rows of the five axes whose rows vary
+  /// in shape (child, descendant, ancestor, following and preceding
+  /// sibling, in that order), by a forward and a backward sweep of
+  /// per-row run recurrences.
+  using RowShapes = std::array<std::vector<std::uint32_t>, 5>;
+  void ComputeRowShapes(RowShapes* cells, RowShapes* runs) const;
+  /// AxisShapes(): the means of ComputeRowShapes' rows.
+  std::array<AxisShape, 7> ComputeAxisShapes() const;
+  /// TargetStats from ComputeRowShapes' rows.
+  TargetStats ComputeTargets() const;
+  /// Drops the shape statistics of a previous tree; they are computed
+  /// again on first use. Called by BuildIndexes() and by snapshot decode.
+  void ResetShapeStats();
 
   std::vector<NodeId> parent_;
   std::vector<NodeId> first_child_;
@@ -197,6 +255,9 @@ class Tree {
   /// label_postings_[label] = nodes with that label, in document order.
   std::vector<std::vector<NodeId>> label_postings_;
   TreeStats stats_;
+  /// The once-computed shape statistics; shared by copies of the tree.
+  struct LazyShapes;
+  std::shared_ptr<LazyShapes> shapes_;
 };
 
 /// Incremental pre-order tree construction:

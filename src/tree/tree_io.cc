@@ -226,6 +226,9 @@ Result<Tree> TreeIo::DecodeTree(ByteReader& r) {
     (void)it;
     if (!inserted) return Corrupt("duplicate label in alphabet");
   }
+  // The planner's shape statistics are not part of the format; they are
+  // computed from the validated arrays on first use.
+  tree.ResetShapeStats();
   return tree;
 }
 

@@ -7,7 +7,10 @@
 // never calls BuildIndexes() and never re-parses surface syntax. That is
 // the whole point of the persistence layer: reload cost is a bounded
 // number of bounds-checked memcpys, not O(n log n) index construction
-// (the restart harness asserts this via Tree::GlobalIndexBuilds()).
+// (the restart harness asserts this via Tree::GlobalIndexBuilds()). The
+// planner's shape statistics (Tree::AxisShapes(), Tree::Targets()) are
+// not part of the format: a decoded tree computes them on first use,
+// like a built one.
 //
 // The byte format is little-endian and position-independent; framing,
 // versioning, and checksums live one layer up in engine/snapshot.h --

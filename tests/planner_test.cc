@@ -8,6 +8,8 @@
 // admissible plan choice (forced via QueryJob::engine_override) and every
 // shape must produce results consistent with the full-relation
 // matrix-engine ground truth, byte-identical at 1, 2 and 8 threads.
+#include <algorithm>
+#include <cmath>
 #include <iterator>
 #include <optional>
 #include <set>
@@ -367,11 +369,14 @@ TEST(SparseFullRelationTest, OversizedTreeMatchesSubsampledOracleRows) {
   }
 }
 
-// The run-shape estimate is averages-only and predicts n runs per row
-// for a composed step on a deep path (it cannot see that the gathered
-// runs coalesce into one) -- the planner must still cross over above
-// the ceiling and let the engine's run budget be the bound, not refuse
-// on the estimate. Regression: this exact shape was refused once.
+// Above the dense ceiling the sparse route is the only admissible one,
+// whatever its estimate. The estimate now reads the path's exact axis
+// shapes (every descendant and child row is one run), but its runs bound
+// still counts about one run per gathered cell for this product, where
+// the engine's run merge coalesces them into one -- the
+// planner must cross over and let the engine's run budget be the bound,
+// not refuse on the estimate. Regression: this exact shape was refused
+// once.
 TEST(SparseFullRelationTest, DeepPathComposeCrossesOverDespiteEstimate) {
   Tree t = PathTree(BitMatrix::kMaxDenseNodes + 10);
   auto compiled = engine::CompileQuery("descendant::a/child::a");
@@ -423,9 +428,14 @@ TEST(PlannerNaryShapeTest, ShapesDeriveFromTupleSet) {
 
 // --------------------------------------------------- cost-model behavior
 
-TEST(PlannerCostModelTest, SmallTreesRunOnMatrixLargeTreesOnGkp) {
-  // A positive query admits both engines; the matrix engine wins while a
-  // whole row fits in one 64-bit word, the GKP engine wins at scale.
+TEST(PlannerCostModelTest, PicksTheCheapestPricedRoute) {
+  // A positive query admits all three routes, priced in one unit; the
+  // plan is the cheapest. Cold forced-route timings of this case on a
+  // 4-vCPU x86-64 box (fresh store, RelationCache off): at 16 nodes GKP
+  // 0.004 ms, dense 0.005, sparse 0.007 -- GKP's sweeps win while the
+  // matrix routes still build axis relations; at 1500 nodes GKP 1.0 ms,
+  // dense 0.55, sparse 0.48, and the planner prices GKP and sparse
+  // within 1% of each other.
   auto compiled = engine::CompileQuery("descendant::*/child::*");
   ASSERT_TRUE(compiled.ok());
   ASSERT_TRUE((*compiled)->positive);
@@ -436,17 +446,20 @@ TEST(PlannerCostModelTest, SmallTreesRunOnMatrixLargeTreesOnGkp) {
   Tree small = RandomTree(rng, small_opts);
   ExecutionPlan small_plan =
       engine::PlanQuery(**compiled, small, ResultShape::kFullRelation);
-  EXPECT_EQ(small_plan.engine, EnginePlan::kMatrixGeneral)
+  EXPECT_EQ(small_plan.engine, EnginePlan::kGkpPositive)
       << small_plan.DebugString();
+  EXPECT_LT(small_plan.routes.gkp, small_plan.routes.dense);
+  EXPECT_LT(small_plan.routes.gkp, small_plan.routes.sparse);
 
   RandomTreeOptions large_opts;
   large_opts.num_nodes = 1500;
   Tree large = RandomTree(rng, large_opts);
   ExecutionPlan large_plan =
       engine::PlanQuery(**compiled, large, ResultShape::kFullRelation);
-  EXPECT_EQ(large_plan.engine, EnginePlan::kGkpPositive)
+  const engine::RouteCosts& r = large_plan.routes;
+  EXPECT_EQ(large_plan.cost, std::min({r.gkp, r.dense, r.sparse}))
       << large_plan.DebugString();
-  EXPECT_GT(large_plan.alternative_cost, large_plan.cost);
+  EXPECT_LT(r.sparse, r.dense) << large_plan.DebugString();
 
   // Monadic shapes always take the row-restricted fast path.
   ExecutionPlan monadic =
@@ -454,6 +467,99 @@ TEST(PlannerCostModelTest, SmallTreesRunOnMatrixLargeTreesOnGkp) {
   EXPECT_TRUE(monadic.row_restricted);
   EXPECT_EQ(monadic.engine, EnginePlan::kGkpPositive);
   EXPECT_LT(monadic.cost, large_plan.cost);
+}
+
+// Regressions from cold forced-route measurements on the serving
+// benchmark's documents. Plans only, no timing.
+
+TEST(PlannerRouteTest, PathAndStarExceptChainsPlanSparse) {
+  // On path and star trees every ancestor / sibling row is one run, so
+  // the run-list kernels beat dense n x n products by 10-20x on these
+  // chains (e.g. the first: 2.7 ms sparse vs 23 ms dense at 2048 nodes).
+  const char* queries[] = {
+      "(following_sibling::a/self::a[parent::*]/preceding_sibling::*/"
+      "descendant::a/descendant::*) except "
+      "(child::*/ancestor::a/following_sibling::a)",
+      "(following_sibling::a[not descendant::a]/parent::a/descendant::a) "
+      "except (descendant::*[not child::a]/self::a[following_sibling::*]/"
+      "self::a/descendant::*/following_sibling::a)",
+  };
+  for (const Tree& t : {PathTree(2048), StarTree(2047)}) {
+    for (const char* text : queries) {
+      auto compiled = engine::CompileQuery(text);
+      ASSERT_TRUE(compiled.ok()) << text;
+      ExecutionPlan plan =
+          engine::PlanQuery(**compiled, t, ResultShape::kFullRelation);
+      EXPECT_EQ(plan.engine, EnginePlan::kMatrixGeneral) << text;
+      EXPECT_EQ(plan.repr, MatrixRepr::kSparse)
+          << plan.DebugString() << " for " << text;
+    }
+  }
+}
+
+TEST(PlannerRouteTest, RandomTreeComposeDoesNotPlanGkp) {
+  // descendant::a/child::a on 8192 random nodes: GKP took 22.8 ms against
+  // 2.8 ms for forced sparse, the 8.2x regret of the two-stage planner.
+  Rng rng(8192);
+  RandomTreeOptions opts;
+  opts.num_nodes = 8192;
+  opts.alphabet_size = 3;
+  Tree t = RandomTree(rng, opts);
+  auto compiled = engine::CompileQuery("descendant::a/child::a");
+  ASSERT_TRUE(compiled.ok());
+  ExecutionPlan plan =
+      engine::PlanQuery(**compiled, t, ResultShape::kFullRelation);
+  EXPECT_NE(plan.engine, EnginePlan::kGkpPositive) << plan.DebugString();
+  EXPECT_GT(plan.routes.gkp, plan.cost) << plan.DebugString();
+}
+
+TEST(PlannerRouteTest, BibliographyComplementQueriesDoNotPlanSparse) {
+  // Complement-heavy queries whose sparse intermediates hold hundreds of
+  // runs per row: on the benchmark's bibliography documents they ran
+  // sparse in 60-180 ms (and raised peak RSS by up to 38 MB) against
+  // 10-25 ms dense. Every ancestor set holds the root, whose child row
+  // holds every book -- the correlation TargetStats prices.
+  const char* queries[] = {
+      "(preceding_sibling::*/child::*/descendant::year[ancestor::*]/"
+      "parent::*/following_sibling::publisher/ancestor::publisher/"
+      "ancestor::year/preceding_sibling::author) except "
+      "(ancestor::*/child::book/self::*/child::*)",
+      "(self::year/self::author/following_sibling::book[preceding_sibling::*])"
+      " except (following_sibling::*[not self::year]/preceding_sibling::*/"
+      "child::*[not preceding_sibling::*])",
+  };
+  for (std::uint64_t seed : {1, 2, 3}) {
+    Rng rng(seed);
+    Tree t = BibliographyTree(rng, 600);
+    for (const char* text : queries) {
+      auto compiled = engine::CompileQuery(text);
+      ASSERT_TRUE(compiled.ok()) << text;
+      ExecutionPlan plan =
+          engine::PlanQuery(**compiled, t, ResultShape::kFullRelation);
+      EXPECT_NE(plan.repr, MatrixRepr::kSparse)
+          << plan.DebugString() << " for " << text;
+    }
+  }
+}
+
+TEST(PlannerRouteTest, DebugStringShowsEveryRoutePrice) {
+  // A negative query: GKP is inadmissible (+inf), both matrix routes are
+  // priced -- the plan shows what was rejected and at what price.
+  Rng rng(4);
+  Tree t = BibliographyTree(rng, 100);
+  auto compiled = engine::CompileQuery(
+      "descendant::book except descendant::book[child::publisher]");
+  ASSERT_TRUE(compiled.ok());
+  ExecutionPlan plan =
+      engine::PlanQuery(**compiled, t, ResultShape::kFullRelation);
+  EXPECT_TRUE(std::isinf(plan.routes.gkp));
+  EXPECT_TRUE(std::isfinite(plan.routes.dense));
+  EXPECT_TRUE(std::isfinite(plan.routes.sparse));
+  const std::string text = plan.DebugString();
+  EXPECT_NE(text.find("gkp=inf"), std::string::npos) << text;
+  EXPECT_NE(text.find("dense="), std::string::npos) << text;
+  EXPECT_NE(text.find("sparse="), std::string::npos) << text;
+  EXPECT_EQ(text.find("alt="), std::string::npos) << text;
 }
 
 TEST(PlannerCostModelTest, SelectiveLabelsShrinkTheGkpDomainEstimate) {

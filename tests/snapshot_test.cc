@@ -35,6 +35,7 @@
 #include "tree/axis_cache.h"
 #include "tree/generators.h"
 #include "tree/tree.h"
+#include "tree/tree_io.h"
 
 namespace xpv {
 namespace {
@@ -116,6 +117,29 @@ void ExpectResultsEqual(const std::vector<engine::QueryResult>& a,
 }
 
 // ------------------------------------------- segment-level round-trips
+
+// The planner's shape statistics are not part of the tree codec: a
+// decoded tree recomputes them, equal to the original's, so the segment
+// format (and its bytes per tree byte) is unchanged.
+TEST(SnapshotSegmentTest, DecodedTreeRecomputesPlannerStats) {
+  Rng rng(3);
+  RandomTreeOptions opts;
+  opts.num_nodes = 700;
+  opts.alphabet_size = 4;
+  for (const Tree& t : {RandomTree(rng, opts), BibliographyTree(rng, 40),
+                        PathTree(90), StarTree(90)}) {
+    std::string bytes;
+    ByteWriter w(&bytes);
+    TreeIo::EncodeTree(t, w);
+    ByteReader r(reinterpret_cast<const std::uint8_t*>(bytes.data()),
+                 bytes.size());
+    Result<Tree> decoded = TreeIo::DecodeTree(r);
+    ASSERT_TRUE(decoded.ok()) << decoded.status();
+    EXPECT_EQ(decoded->Stats(), t.Stats());
+    EXPECT_EQ(decoded->AxisShapes(), t.AxisShapes());
+    EXPECT_EQ(decoded->Targets().axes, t.Targets().axes);
+  }
+}
 
 TEST(SnapshotSegmentTest, RoundTripPreservesTreeMetaAndWarmAxes) {
   Rng rng(11);

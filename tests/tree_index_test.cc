@@ -10,6 +10,7 @@
 
 #include "common/rng.h"
 #include "tree/axes.h"
+#include "tree/axis_cache.h"
 #include "tree/generators.h"
 #include "tree/naive_reference.h"
 #include "tree/tree.h"
@@ -130,6 +131,112 @@ TEST_P(TreeIndexPropertyTest, AxisHoldsMatchesMatrixCell) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, TreeIndexPropertyTest,
                          ::testing::Values(1, 2, 3));
+
+// ------------------------------------------- planner shape statistics
+
+/// One tree per document family the planner is calibrated on, plus the
+/// restaurant guides.
+std::vector<Tree> StatFamilies() {
+  Rng rng(11);
+  RandomTreeOptions random;
+  random.num_nodes = 600;
+  random.alphabet_size = 3;
+  std::vector<Tree> trees;
+  trees.push_back(PathTree(300));
+  trees.push_back(StarTree(300));
+  trees.push_back(RandomTree(rng, random));
+  trees.push_back(BibliographyTree(rng, 60));
+  trees.push_back(RestaurantTree(rng, 30, 8));
+  return trees;
+}
+
+/// Cells in row `r` of an interval relation.
+std::size_t RowCells(const IntervalMatrix& m, std::size_t r) {
+  std::size_t cells = 0;
+  auto [first, last] = m.RunsOf(r);
+  for (auto it = first; it != last; ++it) cells += it->end - it->begin;
+  return cells;
+}
+
+TEST(TreeStatsTest, AxisShapesAreTheIntervalRelationsMeans) {
+  for (const Tree& t : StatFamilies()) {
+    AxisCache cache(t, AxisBacking::kInterval);
+    const double n = static_cast<double>(t.size());
+    for (Axis axis : kAllAxes) {
+      const IntervalMatrix* m = cache.Matrix(axis).AsInterval();
+      ASSERT_NE(m, nullptr);
+      const AxisShape& shape = AxisShapeOf(t, axis);
+      EXPECT_DOUBLE_EQ(shape.cells_per_row,
+                       static_cast<double>(m->Count()) / n)
+          << AxisName(axis) << " on " << t.ToTerm().substr(0, 40);
+      EXPECT_DOUBLE_EQ(shape.runs_per_row,
+                       static_cast<double>(m->num_runs()) / n)
+          << AxisName(axis) << " on " << t.ToTerm().substr(0, 40);
+    }
+  }
+}
+
+TEST(TreeStatsTest, TargetStatsMatchBruteForce) {
+  for (const Tree& t : StatFamilies()) {
+    AxisCache cache(t, AxisBacking::kInterval);
+    const TargetStats& targets = t.Targets();
+    for (Axis a : kAllAxes) {
+      const IntervalMatrix& am = *cache.Matrix(a).AsInterval();
+      // Label counts at A-targets, and B-row totals at A-targets.
+      std::vector<double> labeled_children(t.alphabet_size(), 0.0);
+      for (Axis b : kAllAxes) {
+        const IntervalMatrix& bm = *cache.Matrix(b).AsInterval();
+        double cells = 0.0;
+        double runs = 0.0;
+        double hits = 0.0;
+        for (std::size_t u = 0; u < t.size(); ++u) {
+          auto [first, last] = am.RunsOf(u);
+          for (auto it = first; it != last; ++it) {
+            for (std::uint32_t v = it->begin; v < it->end; ++v) {
+              auto [bf, bl] = bm.RunsOf(v);
+              cells += static_cast<double>(RowCells(bm, v));
+              runs += static_cast<double>(bl - bf);
+              hits += 1.0;
+              if (b == Axis::kSelf) {
+                for (NodeId c : t.Children(v)) labeled_children[t.label(c)]++;
+              }
+            }
+          }
+        }
+        if (hits == 0.0) continue;
+        const AxisShape& got = TargetShapeOf(targets, a, b);
+        EXPECT_NEAR(got.cells_per_row, cells / hits, 1e-9 * (1 + cells))
+            << AxisName(a) << "/" << AxisName(b);
+        EXPECT_NEAR(got.runs_per_row, runs / hits, 1e-9 * (1 + runs))
+            << AxisName(a) << "/" << AxisName(b);
+        if (b != Axis::kSelf) continue;
+        for (LabelId l = 0; l < t.alphabet_size(); ++l) {
+          EXPECT_NEAR(targets.child_labels[l][static_cast<std::size_t>(a)],
+                      labeled_children[l] / hits, 1e-9)
+              << AxisName(a) << " " << t.label_string(l);
+        }
+      }
+    }
+    // Rows at L-labeled nodes.
+    for (LabelId l = 0; l < t.alphabet_size(); ++l) {
+      for (Axis b : kAllAxes) {
+        const IntervalMatrix& bm = *cache.Matrix(b).AsInterval();
+        double cells = 0.0;
+        double runs = 0.0;
+        for (NodeId v : t.LabelPostings(l)) {
+          auto [bf, bl] = bm.RunsOf(v);
+          cells += static_cast<double>(RowCells(bm, v));
+          runs += static_cast<double>(bl - bf);
+        }
+        const double count = static_cast<double>(t.LabelPostings(l).size());
+        const AxisShape& got =
+            targets.label_shapes[l][static_cast<std::size_t>(b)];
+        EXPECT_NEAR(got.cells_per_row, cells / count, 1e-9 * (1 + cells));
+        EXPECT_NEAR(got.runs_per_row, runs / count, 1e-9 * (1 + runs));
+      }
+    }
+  }
+}
 
 }  // namespace
 }  // namespace xpv

@@ -22,6 +22,7 @@ Usage: tools/bench_compare.py BASELINE.json CANDIDATE.json [--threshold 0.10]
 import argparse
 import json
 import math
+import re
 import sys
 
 # One entry per flagged section: the benchmark families whose perf the
@@ -43,7 +44,9 @@ FLAGGED_SECTIONS = [
 ]
 
 # Absolute acceptance bars on measured counters, independent of the
-# baseline: (benchmark name prefix, counter, minimum value). The ROADMAP
+# baseline: (benchmark name pattern, counter, minimum value). A pattern
+# is a regular expression matched at the start of the name, so a plain
+# name is a prefix. The ROADMAP
 # claims snapshot reload beats parse+reindex(+axis warmup) by >= 5x at
 # 2048 nodes; if the counter sinks below that, the persistence layer's
 # reason to exist has regressed no matter what the baseline says.
@@ -55,6 +58,16 @@ FLAGGED_SECTIONS = [
 # ratio -- see the comment above BM_SnapshotSaveLoad).
 COUNTER_BOUNDS = [
     ("BM_SnapshotSaveLoad/2048", "reload_speedup", 5.0),
+]
+
+# Bars on a ratio of counter sums over every matching benchmark:
+# (name pattern, numerator counter, denominator counter, minimum). The
+# planner's route choice is gated on the cold crossover family: summed
+# over the auto arms (repr 0, the last argument), the fastest forced
+# routes must take at least 80% of the time the planner's routes took.
+RATIO_BOUNDS = [
+    (r"BM_CrossoverFullRelation/\d+/\d+/0$", "forced_min_ms", "auto_ms",
+     0.8),
 ]
 
 UNIT_NS = {"ns": 1.0, "us": 1e3, "ms": 1e6, "s": 1e9}
@@ -90,7 +103,7 @@ def check_counter_bounds(path):
         for bench in doc.get("benchmarks", []):
             if bench.get("run_type", "iteration") != "iteration":
                 continue
-            if not bench["name"].startswith(prefix):
+            if not re.match(prefix, bench["name"]):
                 continue
             matched = True
             value = bench.get(counter)
@@ -102,6 +115,28 @@ def check_counter_bounds(path):
         if not matched:
             errors.append(f"counter bound '{prefix}' matched no candidate "
                           f"benchmark")
+    for pattern, num, den, minimum in RATIO_BOUNDS:
+        sums = [0.0, 0.0]
+        matched = False
+        for bench in doc.get("benchmarks", []):
+            if bench.get("run_type", "iteration") != "iteration":
+                continue
+            if not re.match(pattern, bench["name"]):
+                continue
+            matched = True
+            if num not in bench or den not in bench:
+                errors.append(f"{bench['name']}: counter '{num}' or "
+                              f"'{den}' missing")
+                continue
+            sums[0] += float(bench[num])
+            sums[1] += float(bench[den])
+        if not matched:
+            errors.append(f"ratio bound '{pattern}' matched no candidate "
+                          f"benchmark")
+        elif sums[1] <= 0 or sums[0] / sums[1] < minimum:
+            ratio = sums[0] / sums[1] if sums[1] > 0 else 0.0
+            errors.append(f"{pattern}: sum({num}) / sum({den}) = "
+                          f"{ratio:.2f} below required {minimum:g}")
     return errors
 
 
