@@ -21,6 +21,8 @@
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
+#include <numeric>
+#include <random>
 #include <string>
 #include <vector>
 
@@ -544,19 +546,33 @@ void BM_SparseCompose(benchmark::State& state) {
 }
 BENCHMARK(BM_SparseCompose)->Apply(ApplyCrossoverArgs);
 
-/// Median of `reps` wall-clock runs of `jobs`, in ms.
-double MedianBatchMs(engine::QueryService& service,
-                     const std::vector<engine::QueryJob>& jobs, int reps) {
-  std::vector<double> ms;
+/// Median of `reps` wall-clock runs of each single-job batch in `jobs`,
+/// in ms. The runs interleave (one of each job per round, in a fresh
+/// seeded shuffle each round), so drift of the machine's speed and the
+/// heap and cache state a previous job leaves behind hit every job alike.
+std::vector<double> InterleavedMedianMs(
+    engine::QueryService& service, const std::vector<engine::QueryJob>& jobs,
+    int reps) {
+  std::vector<std::vector<double>> ms(jobs.size());
+  std::vector<std::size_t> order(jobs.size());
+  std::iota(order.begin(), order.end(), 0);
+  std::mt19937 shuffle(7);
   for (int i = 0; i < reps; ++i) {
-    const auto t0 = std::chrono::steady_clock::now();
-    benchmark::DoNotOptimize(service.EvaluateBatch(jobs));
-    ms.push_back(std::chrono::duration<double, std::milli>(
-                     std::chrono::steady_clock::now() - t0)
-                     .count());
+    std::shuffle(order.begin(), order.end(), shuffle);
+    for (const std::size_t j : order) {
+      const auto t0 = std::chrono::steady_clock::now();
+      benchmark::DoNotOptimize(service.EvaluateBatch({jobs[j]}));
+      ms[j].push_back(std::chrono::duration<double, std::milli>(
+                          std::chrono::steady_clock::now() - t0)
+                          .count());
+    }
   }
-  std::sort(ms.begin(), ms.end());
-  return ms[ms.size() / 2];
+  std::vector<double> medians;
+  for (std::vector<double>& m : ms) {
+    std::sort(m.begin(), m.end());
+    medians.push_back(m[m.size() / 2]);
+  }
+  return medians;
 }
 
 /// Service-level, cold: the same query through the full compile-plan-
@@ -564,13 +580,13 @@ double MedianBatchMs(engine::QueryService& service,
 /// iteration evaluates (axis relations stay warm: they are per-document
 /// state every route shares). repr 0 leaves the planner's route choice
 /// in charge and additionally times every admissible forced route (GKP,
-/// dense, sparse; 5 runs each, median): auto_ms, forced_min_ms, and their
-/// ratio route_efficiency -- 1.0 means the planner picked the fastest
-/// route. CI gates sum(forced_min_ms) / sum(auto_ms) over the auto arms
-/// (tools/bench_compare.py RATIO_BOUNDS). repr 1/2 force
-/// dense/sparse. Above the dense ceiling this is the previously refused
-/// full-relation workload. 65536 nodes is left to BM_SparseCompose: a
-/// cold evaluation there takes seconds per route.
+/// dense, sparse; 5 interleaved runs each, median): auto_ms,
+/// forced_min_ms, and their ratio route_efficiency -- 1.0 means the
+/// planner picked the fastest route. CI gates sum(forced_min_ms) /
+/// sum(auto_ms) over the auto arms (tools/bench_compare.py RATIO_BOUNDS).
+/// repr 1/2 force dense/sparse. Above the dense ceiling this is the
+/// previously refused full-relation workload. 65536 nodes is left to
+/// BM_SparseCompose: a cold evaluation there takes seconds per route.
 void BM_CrossoverFullRelation(benchmark::State& state) {
   const auto nodes = static_cast<std::size_t>(state.range(0));
   const auto repr = static_cast<MatrixRepr>(state.range(2));
@@ -613,8 +629,8 @@ void BM_CrossoverFullRelation(benchmark::State& state) {
       static_cast<double>(stats.repr_crossovers);
   if (repr != MatrixRepr::kAuto) return;
   constexpr int kReps = 5;
-  const double auto_ms = MedianBatchMs(service, jobs, kReps);
-  double best_ms = std::numeric_limits<double>::infinity();
+  // arms[0] is the planner's route, the rest the admissible forced ones.
+  std::vector<engine::QueryJob> arms = {job};
   std::vector<engine::QueryJob> forced;
   if (nodes <= BitMatrix::kMaxDenseNodes) {
     forced.push_back(job);
@@ -625,9 +641,11 @@ void BM_CrossoverFullRelation(benchmark::State& state) {
   forced.push_back(job);
   forced.back().repr_override = MatrixRepr::kSparse;
   for (const engine::QueryJob& f : forced) {
-    if (!service.EvaluateBatch({f})[0].status.ok()) continue;
-    best_ms = std::min(best_ms, MedianBatchMs(service, {f}, kReps));
+    if (service.EvaluateBatch({f})[0].status.ok()) arms.push_back(f);
   }
+  const std::vector<double> ms = InterleavedMedianMs(service, arms, kReps);
+  const double auto_ms = ms[0];
+  const double best_ms = *std::min_element(ms.begin() + 1, ms.end());
   state.counters["auto_ms"] = auto_ms;
   state.counters["forced_min_ms"] = best_ms;
   state.counters["route_efficiency"] = best_ms / auto_ms;

@@ -215,8 +215,7 @@ UnitPrices Fit(const std::vector<Sample>& samples) {
   const auto large = [](const Sample& s) { return s.nodes > 1024; };
   const auto small = [](const Sample& s) { return s.nodes <= 1024; };
   Descend(p,
-          {&UnitPrices::word, &UnitPrices::hot_word, &UnitPrices::compare,
-           &UnitPrices::run},
+          {&UnitPrices::word, &UnitPrices::hot_word, &UnitPrices::run},
           [&](const UnitPrices& q) {
             return LogError(samples, q, kDense, kSparse, large);
           });
@@ -351,10 +350,9 @@ int Run(std::size_t queries, std::uint64_t seed, bool quiet) {
   };
   const auto print = [&](const char* name, const UnitPrices& p) {
     std::printf("matrix log error %7.1f at %-17s {.visit = %.3g, .word = "
-                "%.3g, .hot_word = %.3g, .compare = %.3g, .run = %.3g, "
-                ".row = %.3g}\n",
-                matrix_error(p), name, p.visit, p.word, p.hot_word,
-                p.compare, p.run, p.row);
+                "%.3g, .hot_word = %.3g, .run = %.3g, .row = %.3g}\n",
+                matrix_error(p), name, p.visit, p.word, p.hot_word, p.run,
+                p.row);
   };
   print("kFittedUnitPrices", kFittedUnitPrices);
   print("refit", fit);

@@ -27,7 +27,6 @@ double WordsPerRow(double n) {
 OpCounts Visits(double x) { return {.visit = x}; }
 OpCounts Words(double x) { return {.word = x}; }
 OpCounts HotWords(double x) { return {.hot_word = x}; }
-OpCounts Compares(double x) { return {.compare = x}; }
 OpCounts Runs(double x) { return {.run = x}; }
 OpCounts Resident(double x) { return {.resident_word = x}; }
 
@@ -47,14 +46,25 @@ struct CostContext {
         1.0, static_cast<double>(tree.LabelFrequency(name_test)) / n);
   }
 
-  /// Tree::Targets(), fetched on first use: plans that compose nothing
-  /// never compute them.
+  /// The tree's shape statistics (Tree::AxisShapes(), PairRuns(),
+  /// Targets()), fetched on first use: plans that read no axis relation
+  /// never compute them, and plans that compose nothing skip Targets().
+  const AxisShape& axis(Axis a) const {
+    if (axes_ == nullptr) axes_ = &tree.AxisShapes();
+    return (*axes_)[static_cast<std::size_t>(a)];
+  }
+  double pair_runs(Axis a) const {
+    if (pair_runs_ == nullptr) pair_runs_ = &tree.PairRuns();
+    return (*pair_runs_)[static_cast<std::size_t>(a)];
+  }
   const TargetStats& targets() const {
     if (targets_ == nullptr) targets_ = &tree.Targets();
     return *targets_;
   }
 
   const Tree& tree;
+  mutable const std::array<AxisShape, 7>* axes_ = nullptr;
+  mutable const std::array<double, 7>* pair_runs_ = nullptr;
   mutable const TargetStats* targets_ = nullptr;
   double n;
   double wpr;  // 64-bit words per packed row
@@ -73,7 +83,7 @@ struct CostContext {
 double DomainBound(const ppl::PplBinExpr& p, const CostContext& c) {
   switch (p.kind) {
     case ppl::PplBinKind::kStep: {
-      const AxisShape& axis = AxisShapeOf(c.tree, p.axis);
+      const AxisShape& axis = c.axis(p.axis);
       return c.n * std::min({1.0, axis.runs_per_row,
                              axis.cells_per_row * c.Selectivity(p.name_test)});
     }
@@ -98,14 +108,19 @@ double DomainBound(const ppl::PplBinExpr& p, const CostContext& c) {
 struct RelationEst {
   double nnz = 0.0;        // mean set cells per row
   double runs = 0.0;       // mean maximal runs per row
+  /// Mean runs a row adds to a union with the row of the node before it
+  /// in document order. A step knows (Tree::PairRuns(): on a path every
+  /// child row joins its neighbour's); anything else is assumed to add
+  /// all its runs.
+  double join_runs = 0.0;
   double peak_runs = 0.0;  // most runs live at once on the sparse route
   /// A partial identity (self steps, filters): composing with it on the
   /// right masks columns instead of gathering rows.
   bool diagonal = false;
   /// The axis of the step that produces the columns (last) and of the
   /// step whose rows the relation's rows extend (first), when one step
-  /// does: composition prices its gathered rows by
-  /// Tree::TargetShapes()[last of a][first of b].
+  /// does: composition prices its gathered rows by the Tree::Targets()
+  /// entry for (last of a, first of b).
   std::optional<Axis> first;
   std::optional<Axis> last;
   /// The labels those steps test (kNoLabel: the wildcard, or a label
@@ -145,7 +160,7 @@ OpCounts Fresh(const RelationEst& e, const CostContext& c) {
 }
 
 RelationEst StepEst(const ppl::PplBinExpr& p, const CostContext& c) {
-  const AxisShape& axis = AxisShapeOf(c.tree, p.axis);
+  const AxisShape& axis = c.axis(p.axis);
   const LabelId label = c.tree.FindLabel(p.name_test);
   const double s =
       p.name_test.empty()
@@ -155,6 +170,11 @@ RelationEst StepEst(const ppl::PplBinExpr& p, const CostContext& c) {
   e.nnz = axis.cells_per_row * s;
   e.runs = RunsBound(MaskedRuns(axis.cells_per_row, axis.runs_per_row, s),
                      e.nnz, c.n);
+  // The label mask applies to the union as to any row: it keeps a joined
+  // run's first cell and splits after every dropped cell.
+  const double joined =
+      std::max(0.0, c.pair_runs(p.axis) - axis.runs_per_row);
+  e.join_runs = std::min(e.runs, MaskedRuns(axis.cells_per_row, joined, s));
   e.diagonal = p.axis == Axis::kSelf;
   e.first = e.last = p.axis;
   e.first_label = e.last_label = label;
@@ -174,18 +194,24 @@ RelationEst StepEst(const ppl::PplBinExpr& p, const CostContext& c) {
   return e;
 }
 
+/// The mean shape of the rows of b that a/b gathers.
+struct RowShape {
+  double nnz;
+  double runs;
+  double join_runs;
+};
+
 /// The rows of b that a/b gathers: b's shape at the targets of a's
 /// cells. When a's columns come from axis A and b's rows from axis B,
 /// b's mean shape scales by how B-rows at A-targets compare with B-rows
-/// at large (Tree::TargetShapes()) -- the correlation a plain mean
-/// misses, e.g. every ancestor set holding the root and its wide child
-/// row.
-RelationEst Gathered(const RelationEst& a, const RelationEst& b,
-                     const CostContext& c) {
-  RelationEst g = b;
+/// at large (Tree::Targets()) -- the correlation a plain mean misses,
+/// e.g. every ancestor set holding the root and its wide child row.
+RowShape Gathered(const RelationEst& a, const RelationEst& b,
+                  const CostContext& c) {
+  RowShape g{b.nnz, b.runs, b.join_runs};
   if (!a.last.has_value() || !b.first.has_value()) return g;
   const TargetStats& targets = c.targets();
-  const AxisShape& mean = AxisShapeOf(c.tree, *b.first);
+  const AxisShape& mean = c.axis(*b.first);
   // Behind a step that tests L the targets are L-nodes: their own rows.
   // Otherwise the targets are weighted by their in-degree under a's axis.
   const AxisShape& target =
@@ -214,6 +240,7 @@ RelationEst Gathered(const RelationEst& a, const RelationEst& b,
   }
   g.nnz = std::min(c.n, b.nnz * cell_ratio);
   g.runs = std::min(g.nnz, b.runs * run_ratio);
+  g.join_runs = std::min(g.runs, b.join_runs * run_ratio);
   return g;
 }
 
@@ -225,26 +252,19 @@ OpCounts ComposeDense(const RelationEst& a, const CostContext& c) {
 
 /// The sparse product a/b alone (operands built), per output row: two
 /// passes over a's cells (count, then gather) collect k = |a row| x
-/// |b runs| candidate runs, which the kernel sort-merges -- or, past its
-/// saturation threshold, ORs into a packed accumulator row and re-scans.
-OpCounts ComposeSparse(const RelationEst& a, const RelationEst& b,
+/// |b runs| candidate runs, which the kernel sort-merges (the fit prices
+/// the merge per run, not per comparison) -- or, past its saturation
+/// threshold, ORs into a packed accumulator row and re-scans.
+OpCounts ComposeSparse(const RelationEst& a, const RowShape& b,
                        double out_runs, const CostContext& c) {
   const double k = a.nnz * b.runs;
   const double saturated = std::max(
       static_cast<double>(SparseBoolMatrix::kDenseAccumMinRuns),
       c.n / static_cast<double>(SparseBoolMatrix::kDenseAccumRunFactor));
-  const double runs = 2.0 * a.nnz + k;
-  double words = 0.0;
-  double compares = 0.0;
-  if (k > saturated) {
-    const double run_len = b.runs > 0.0 ? b.nnz / b.runs : 0.0;
-    words = 2.0 * c.wpr + k * run_len / 64.0;
-  } else {
-    compares = k * std::log2(k + 2.0);
-  }
-  return Runs(c.n * runs) + Compares(c.n * compares) +
-         HotWords(c.n * words) + Words(c.n * (out_runs + 0.5)) +
-         OpCounts{.row = c.n};
+  const double run_len = b.runs > 0.0 ? b.nnz / b.runs : 0.0;
+  const double words = k > saturated ? 2.0 * c.wpr + k * run_len / 64.0 : 0.0;
+  return Runs(c.n * (2.0 * a.nnz + k)) + HotWords(c.n * words) +
+         Words(c.n * (out_runs + 0.5)) + OpCounts{.row = c.n};
 }
 
 /// An interior result stays resident in the RelationCache: its packed
@@ -257,7 +277,7 @@ void KeepResident(RelationEst& e, const CostContext& c) {
 /// The cells and runs per row of a/b, given the rows of b it gathers.
 std::pair<double, double> ProductShape(const RelationEst& a,
                                        const RelationEst& b,
-                                       const RelationEst& gathered,
+                                       const RowShape& gathered,
                                        const CostContext& c) {
   if (b.diagonal) {
     // a/[Q] keeps a's cells in Q's domain: a column mask, under which
@@ -266,17 +286,22 @@ std::pair<double, double> ProductShape(const RelationEst& a,
     const double nnz = a.nnz * s;
     return {nnz, RunsBound(MaskedRuns(a.nnz, a.runs, s), nnz, c.n)};
   }
-  // Row u of a/b is the union of b's rows over u's a-cells.
+  // Row u of a/b is the union of b's rows over u's a-cells. Within a run
+  // of a-cells the targets are neighbours in document order, so each
+  // cell after a run's first adds only b's joined runs.
   const double nnz =
       c.n * -std::expm1(a.nnz * std::log1p(-std::min(1.0 - 1e-12,
                                                       gathered.nnz / c.n)));
-  return {nnz, RunsBound(a.nnz * gathered.runs, nnz, c.n)};
+  const double pieces =
+      a.runs * gathered.runs +
+      std::max(0.0, a.nnz - a.runs) * gathered.join_runs;
+  return {nnz, RunsBound(pieces, nnz, c.n)};
 }
 
 RelationEst ComposeEst(const RelationEst& a, const RelationEst& b,
                        const CostContext& c) {
   RelationEst e;
-  const RelationEst gathered = Gathered(a, b, c);
+  const RowShape gathered = Gathered(a, b, c);
   std::tie(e.nnz, e.runs) = ProductShape(a, b, gathered, c);
   e.diagonal = a.diagonal && b.diagonal;
   // A diagonal factor passes the neighbour's axis through.
@@ -286,6 +311,7 @@ RelationEst ComposeEst(const RelationEst& a, const RelationEst& b,
   e.last_label = b.diagonal ? a.last_label : b.last_label;
   e.peak_runs =
       std::max({a.peak_runs, b.peak_runs, c.n * (a.runs + b.runs + e.runs)});
+  e.join_runs = e.runs;
   e.dense = a.dense + b.dense + ComposeDense(a, c);
   e.sparse = a.sparse + b.sparse + ComposeSparse(a, gathered, e.runs, c);
   KeepResident(e, c);
@@ -304,58 +330,84 @@ void FlattenCompose(const ppl::PplBinExpr& p,
   out->push_back(&p);
 }
 
-/// Which association of each composition chain an estimate assumes: as
-/// parsed, or the one the reassociation DP picks for the dense or the
-/// sparse representation -- the form that route actually executes.
-enum class Association { kParsed, kDense, kSparse };
-
 /// Nanoseconds of the product a/b alone on one route, at the fitted
 /// prices -- ComposeEst's product term without the rest of the estimate.
 double ProductNs(const RelationEst& a, const RelationEst& b,
                  const CostContext& c, bool dense) {
   if (dense) return ComposeDense(a, c).Ns(kFittedUnitPrices);
-  const RelationEst gathered = Gathered(a, b, c);
+  const RowShape gathered = Gathered(a, b, c);
   const double runs = ProductShape(a, b, gathered, c).second;
   return ComposeSparse(a, gathered, runs, c).Ns(kFittedUnitPrices);
 }
 
+/// Entry (i, j), i <= j < k, of a row-major upper-triangular k x k table.
+std::size_t TriangleAt(std::size_t k, std::size_t i, std::size_t j) {
+  return i * (2 * k - i + 1) / 2 + (j - i);
+}
+
 /// The matrix-chain DP over the factor estimates of one composition
-/// chain. est[i][j] is the cheapest association of factors i..j on the
-/// chosen representation's route, split[i][j] where it splits. Boolean
+/// chain. est(i, j) is the cheapest association of factors i..j on the
+/// chosen representation's route, split(i, j) where it splits. Boolean
 /// products are associative, so every association denotes the same
 /// relation; the factors' own costs are common to all of them, so the
 /// cheapest whole is the one with the cheapest products.
+///
+/// `twin`, when set, is the other route's DP over the same chain, and
+/// `same[i]` says factor i estimates alike on both routes: an interval
+/// both routes split alike over such factors takes the twin's estimate
+/// instead of recomputing it.
 struct ChainDp {
-  ChainDp(std::vector<RelationEst> factors, const CostContext& c,
-          bool dense) {
-    const std::size_t k = factors.size();
-    est.assign(k, std::vector<RelationEst>(k));
-    split.assign(k, std::vector<std::size_t>(k, 0));
-    // ns[i][j]: the products' share of est[i][j] on this route -- what
+  ChainDp(const std::vector<RelationEst>& factors, const CostContext& c,
+          bool dense, const ChainDp* twin = nullptr,
+          const std::vector<char>* same = nullptr)
+      : k(factors.size()),
+        est(k * (k + 1) / 2),
+        split(est.size(), 0),
+        shared(est.size(), 0) {
+    const auto At = [this](std::size_t i, std::size_t j) {
+      return TriangleAt(k, i, j);
+    };
+    // ns(i, j): the products' share of est(i, j) on this route -- what
     // the associations differ in.
-    std::vector<std::vector<double>> ns(k, std::vector<double>(k, 0.0));
-    for (std::size_t i = 0; i < k; ++i) est[i][i] = factors[i];
+    std::vector<double> ns(est.size(), 0.0);
+    for (std::size_t i = 0; i < k; ++i) {
+      est[At(i, i)] = factors[i];
+      shared[At(i, i)] = twin != nullptr && (*same)[i];
+    }
     for (std::size_t len = 2; len <= k; ++len) {
       for (std::size_t i = 0; i + len <= k; ++i) {
         const std::size_t j = i + len - 1;
+        const std::size_t ij = At(i, j);
         double best = kInf;
         for (std::size_t s = i; s < j; ++s) {
-          const double total = ns[i][s] + ns[s + 1][j] +
-                               ProductNs(est[i][s], est[s + 1][j], c, dense);
+          const double total =
+              ns[At(i, s)] + ns[At(s + 1, j)] +
+              ProductNs(est[At(i, s)], est[At(s + 1, j)], c, dense);
           if (total < best) {
             best = total;
-            split[i][j] = s;
+            split[ij] = s;
           }
         }
-        ns[i][j] = best;
-        const std::size_t s = split[i][j];
-        est[i][j] = ComposeEst(est[i][s], est[s + 1][j], c);
+        ns[ij] = best;
+        const std::size_t s = split[ij];
+        shared[ij] = twin != nullptr && twin->split[ij] == s &&
+                     shared[At(i, s)] && shared[At(s + 1, j)];
+        est[ij] = shared[ij]
+                      ? twin->est[ij]
+                      : ComposeEst(est[At(i, s)], est[At(s + 1, j)], c);
       }
     }
   }
 
-  std::vector<std::vector<RelationEst>> est;
-  std::vector<std::vector<std::size_t>> split;
+  const RelationEst& Whole() const { return est[k - 1]; }
+
+  std::size_t k;
+  /// Upper-triangular tables (TriangleAt): the estimate of factors i..j,
+  /// the factor after which they split, and whether the estimate is the
+  /// twin's.
+  std::vector<RelationEst> est;
+  std::vector<std::size_t> split;
+  std::vector<char> shared;
 };
 
 /// OperatorEst without the resident result.
@@ -411,38 +463,26 @@ RelationEst OperatorShapeAndOps(ppl::PplBinKind kind, const RelationEst& a,
 RelationEst OperatorEst(ppl::PplBinKind kind, const RelationEst& a,
                         const RelationEst* b, const CostContext& c) {
   RelationEst e = OperatorShapeAndOps(kind, a, b, c);
+  e.join_runs = e.runs;
   KeepResident(e, c);
   return e;
 }
 
-RelationEst Estimate(const ppl::PplBinExpr& p, const CostContext& c,
-                     Association assoc) {
+/// The estimate of `p` evaluated in its own association: as parsed, or
+/// as the reassociation DP rewrote it (which estimates the same).
+RelationEst Estimate(const ppl::PplBinExpr& p, const CostContext& c) {
   switch (p.kind) {
     case ppl::PplBinKind::kStep:
       return StepEst(p, c);
-    case ppl::PplBinKind::kCompose: {
-      if (assoc == Association::kParsed) {
-        return ComposeEst(Estimate(*p.left, c, assoc),
-                          Estimate(*p.right, c, assoc), c);
-      }
-      std::vector<const ppl::PplBinExpr*> raw;
-      FlattenCompose(p, &raw);
-      std::vector<RelationEst> factors;
-      factors.reserve(raw.size());
-      for (const ppl::PplBinExpr* f : raw) {
-        factors.push_back(Estimate(*f, c, assoc));
-      }
-      const std::size_t k = factors.size();
-      return ChainDp(std::move(factors), c, assoc == Association::kDense)
-          .est[0][k - 1];
-    }
+    case ppl::PplBinKind::kCompose:
+      return ComposeEst(Estimate(*p.left, c), Estimate(*p.right, c), c);
     case ppl::PplBinKind::kUnion: {
-      const RelationEst b = Estimate(*p.right, c, assoc);
-      return OperatorEst(p.kind, Estimate(*p.left, c, assoc), &b, c);
+      const RelationEst b = Estimate(*p.right, c);
+      return OperatorEst(p.kind, Estimate(*p.left, c), &b, c);
     }
     case ppl::PplBinKind::kComplement:
     case ppl::PplBinKind::kFilter:
-      return OperatorEst(p.kind, Estimate(*p.left, c, assoc), nullptr, c);
+      return OperatorEst(p.kind, Estimate(*p.left, c), nullptr, c);
   }
   std::abort();  // unreachable: the switch above covers every PplBinKind
 }
@@ -468,38 +508,6 @@ OpCounts GkpFull(const ppl::PplBinExpr& p, std::size_t size,
   const double nodes = static_cast<double>(size);
   return Visits(nodes * c.n * (1.0 + domain)) +
          Words(c.wpr * (c.n + nodes * domain)) + Resident(c.n * c.wpr);
-}
-
-/// The row-restricted matrix route: positive operators propagate one node
-/// set (one |t|-node sweep per step); a complement over a plain step runs
-/// one kernel pass over the cached axis relation; any other complement
-/// materializes its operand's relation in the plan's representation.
-/// On a positive query this is exactly GKP's monadic propagation.
-OpCounts Monadic(const ppl::PplBinExpr& p, const CostContext& c,
-                 Association assoc, bool dense) {
-  switch (p.kind) {
-    case ppl::PplBinKind::kStep:
-      return Visits(c.n);
-    case ppl::PplBinKind::kCompose:
-    case ppl::PplBinKind::kUnion:
-      return Monadic(*p.left, c, assoc, dense) +
-             Monadic(*p.right, c, assoc, dense) + Words(c.wpr);
-    case ppl::PplBinKind::kFilter:
-      // The domain resolves by a preimage walk of the same shape.
-      return Monadic(*p.left, c, assoc, dense) + Words(c.wpr);
-    case ppl::PplBinKind::kComplement: {
-      const OpCounts flip = Visits(c.n) + Words(c.wpr);
-      if (p.left->kind == ppl::PplBinKind::kStep) {
-        const AxisShape& axis = AxisShapeOf(c.tree, p.left->axis);
-        return flip + (c.interval_cache
-                           ? Runs(c.n * (axis.runs_per_row + 1.0))
-                           : Words(c.n * c.wpr));
-      }
-      const RelationEst e = Estimate(*p.left, c, assoc);
-      return flip + (dense ? e.dense : e.sparse);
-    }
-  }
-  return Visits(c.n);
 }
 
 /// Bit i set iff axis kAllAxes[i] is read as a relation by the matrix
@@ -531,7 +539,7 @@ OpCounts AxisBuild(unsigned axes, const CostContext& c) {
   OpCounts out;
   for (Axis axis : kAllAxes) {
     if ((axes & (1u << static_cast<unsigned>(axis))) == 0) continue;
-    const AxisShape& shape = AxisShapeOf(c.tree, axis);
+    const AxisShape& shape = c.axis(axis);
     out += c.interval_cache ? Words(c.n * (shape.runs_per_row + 0.5))
                             : Words(c.n * c.wpr);
   }
@@ -556,90 +564,332 @@ bool HasNonStepComplement(const ppl::PplBinExpr& p) {
   return false;
 }
 
-/// Rebuilds `node`'s composition skeleton, consuming `factors` left to
-/// right at the leaves -- the as-parsed association over the (already
-/// reassociated) factors, used to detect whether the DP changed anything.
-ppl::PplBinPtr CloneSkeleton(const ppl::PplBinExpr& node,
-                             const std::vector<ppl::PplBinPtr>& factors,
-                             std::size_t* next) {
-  if (node.kind == ppl::PplBinKind::kCompose) {
-    ppl::PplBinPtr l = CloneSkeleton(*node.left, factors, next);
-    ppl::PplBinPtr r = CloneSkeleton(*node.right, factors, next);
-    return ppl::PplBinExpr::Compose(std::move(l), std::move(r));
+/// The reassociation DP's picks for one representation: the split table
+/// of every maximal composition chain whose association it changed,
+/// keyed by the chain's root in the parsed query.
+struct ChainSplits {
+  struct Chain {
+    const ppl::PplBinExpr* root;
+    std::size_t k;
+    std::vector<std::size_t> split;  // ChainDp::split
+
+    std::size_t Split(std::size_t i, std::size_t j) const {
+      return split[TriangleAt(k, i, j)];
+    }
+  };
+  std::vector<Chain> changed;
+
+  const Chain* Find(const ppl::PplBinExpr* root) const {
+    for (const Chain& chain : changed) {
+      if (chain.root == root) return &chain;
+    }
+    return nullptr;
   }
-  return factors[(*next)++]->Clone();
+};
+
+/// True iff the parsed composition skeleton under `node`, whose factors
+/// start at index *next of its chain, splits everywhere the DP does.
+bool KeepsParsedSplits(const ppl::PplBinExpr& node, const ChainDp& dp,
+                       std::size_t* next) {
+  if (node.kind != ppl::PplBinKind::kCompose) {
+    ++*next;
+    return true;
+  }
+  const std::size_t i = *next;
+  if (!KeepsParsedSplits(*node.left, dp, next)) return false;
+  const std::size_t s = *next - 1;
+  if (!KeepsParsedSplits(*node.right, dp, next)) return false;
+  return dp.split[TriangleAt(dp.k, i, *next - 1)] == s;
 }
 
-/// Builds the DP-optimal association over factors[i..j] from the split
-/// table, moving the factor subtrees into place.
-struct ChainBuilder {
-  const std::vector<std::vector<std::size_t>>& split;
-  std::vector<ppl::PplBinPtr>& factors;
+/// One subexpression's estimate on each matrix route, each in the
+/// association the reassociation DP picks for that representation.
+struct RouteEsts {
+  RelationEst dense;
+  RelationEst sparse;
+  /// Both routes associate every chain below alike, so the estimates
+  /// are one.
+  bool same = true;
+};
 
-  ppl::PplBinPtr Build(std::size_t i, std::size_t j) {
-    if (i == j) return std::move(factors[i]);
-    const std::size_t s = split[i][j];
-    return ppl::PplBinExpr::Compose(Build(i, s), Build(s + 1, j));
+/// The operands of complements over non-steps -- the sub-matrices a
+/// monadic plan materializes -- with their estimates.
+using OperandEsts =
+    std::vector<std::pair<const ppl::PplBinExpr*, RouteEsts>>;
+
+/// The matrix-chain reassociation DP, estimating bottom-up in one pass
+/// for both routes: Run(p) estimates `p` with every maximal composition
+/// chain of >= 2 factors in the association the cost model estimates
+/// cheapest on the dense and on the sparse route. The chains whose
+/// association that changes go to `dense_splits` and `sparse_splits`,
+/// from which Rewrite builds the rewritten query; complement operands go
+/// to `operands`. Without `with_dense` (dense inadmissible) only the
+/// sparse route is estimated, and `dense` copies it.
+struct Reassociation {
+  const CostContext& c;
+  bool with_dense;
+  ChainSplits* dense_splits;
+  ChainSplits* sparse_splits;
+  OperandEsts* operands;
+
+  RouteEsts Run(const ppl::PplBinExpr& p) {
+    switch (p.kind) {
+      case ppl::PplBinKind::kStep: {
+        const RelationEst e = StepEst(p, c);
+        return {e, e, true};
+      }
+      case ppl::PplBinKind::kComplement:
+      case ppl::PplBinKind::kFilter: {
+        const RouteEsts a = Run(*p.left);
+        if (p.kind == ppl::PplBinKind::kComplement &&
+            p.left->kind != ppl::PplBinKind::kStep) {
+          operands->emplace_back(p.left.get(), a);
+        }
+        return Operator(p.kind, a, nullptr);
+      }
+      case ppl::PplBinKind::kUnion: {
+        const RouteEsts a = Run(*p.left);
+        const RouteEsts b = Run(*p.right);
+        return Operator(p.kind, a, &b);
+      }
+      case ppl::PplBinKind::kCompose:
+        break;
+    }
+    std::vector<const ppl::PplBinExpr*> raw;
+    FlattenCompose(p, &raw);
+    std::vector<RelationEst> dense_factors;
+    std::vector<RelationEst> sparse_factors;
+    std::vector<char> same;
+    for (const ppl::PplBinExpr* f : raw) {
+      RouteEsts r = Run(*f);
+      dense_factors.push_back(std::move(r.dense));
+      sparse_factors.push_back(std::move(r.sparse));
+      same.push_back(r.same);
+    }
+    const ChainDp sparse(sparse_factors, c, /*dense=*/false);
+    Record(p, sparse, sparse_splits);
+    if (!with_dense) return {sparse.Whole(), sparse.Whole(), true};
+    const ChainDp dense(dense_factors, c, /*dense=*/true, &sparse, &same);
+    Record(p, dense, dense_splits);
+    return {dense.Whole(), sparse.Whole(), dense.shared[dense.k - 1] != 0};
+  }
+
+  RouteEsts Operator(ppl::PplBinKind kind, const RouteEsts& a,
+                     const RouteEsts* b) const {
+    RouteEsts e;
+    e.sparse = OperatorEst(kind, a.sparse, b ? &b->sparse : nullptr, c);
+    e.same = a.same && (b == nullptr || b->same);
+    e.dense = e.same ? e.sparse
+                     : OperatorEst(kind, a.dense, b ? &b->dense : nullptr, c);
+    return e;
+  }
+
+  /// Keeps `dp`'s split table when it changes the chain rooted at `p`.
+  static void Record(const ppl::PplBinExpr& p, const ChainDp& dp,
+                     ChainSplits* splits) {
+    std::size_t next = 0;
+    if (!KeepsParsedSplits(p, dp, &next)) {
+      splits->changed.push_back({&p, dp.k, dp.split});
+    }
   }
 };
 
-/// An expression the DP rewrote, with its estimate.
-struct Reassociated {
-  ppl::PplBinPtr expr;
-  RelationEst est;
-};
+/// Rebuilds `node`'s parsed composition skeleton, taking `factors` left
+/// to right at the leaves.
+ppl::PplBinPtr ParsedSkeleton(const ppl::PplBinExpr& node,
+                              std::vector<ppl::PplBinPtr>& factors,
+                              std::size_t* next) {
+  if (node.kind == ppl::PplBinKind::kCompose) {
+    ppl::PplBinPtr l = ParsedSkeleton(*node.left, factors, next);
+    ppl::PplBinPtr r = ParsedSkeleton(*node.right, factors, next);
+    return ppl::PplBinExpr::Compose(std::move(l), std::move(r));
+  }
+  return std::move(factors[(*next)++]);
+}
 
-/// The matrix-chain reassociation DP. Returns `p` rewritten so every
-/// maximal composition chain of >= 2 factors carries the association the
-/// cost model estimates cheapest on the `dense` or sparse route; factor
-/// order -- and hence the denoted relation (Boolean matrix product is
-/// associative) -- is unchanged. Estimates build bottom-up alongside, so
-/// each subexpression is estimated once. `*chains` counts the chains
-/// whose association actually changed.
-Reassociated Reassociate(const ppl::PplBinExpr& p, const CostContext& c,
-                         bool dense, std::size_t* chains) {
+/// Builds the DP-optimal association over factors[i..j] from a split
+/// table, moving the factor subtrees into place.
+ppl::PplBinPtr BuildChain(const ChainSplits::Chain& chain,
+                          std::vector<ppl::PplBinPtr>& factors, std::size_t i,
+                          std::size_t j) {
+  if (i == j) return std::move(factors[i]);
+  const std::size_t s = chain.Split(i, j);
+  return ppl::PplBinExpr::Compose(BuildChain(chain, factors, i, s),
+                                  BuildChain(chain, factors, s + 1, j));
+}
+
+/// `p` with the chains in `splits` reassociated; factor order -- and
+/// hence the denoted relation (Boolean matrix product is associative) --
+/// unchanged.
+ppl::PplBinPtr Rewrite(const ppl::PplBinExpr& p, const ChainSplits& splits) {
   switch (p.kind) {
     case ppl::PplBinKind::kStep:
-      return {p.Clone(), StepEst(p, c)};
+      return p.Clone();
     case ppl::PplBinKind::kComplement:
-    case ppl::PplBinKind::kFilter: {
-      Reassociated a = Reassociate(*p.left, c, dense, chains);
-      RelationEst est = OperatorEst(p.kind, a.est, nullptr, c);
-      return {p.kind == ppl::PplBinKind::kFilter
-                  ? ppl::PplBinExpr::Filter(std::move(a.expr))
-                  : ppl::PplBinExpr::Complement(std::move(a.expr)),
-              est};
-    }
-    case ppl::PplBinKind::kUnion: {
-      Reassociated a = Reassociate(*p.left, c, dense, chains);
-      Reassociated b = Reassociate(*p.right, c, dense, chains);
-      RelationEst est = OperatorEst(p.kind, a.est, &b.est, c);
-      return {ppl::PplBinExpr::Union(std::move(a.expr), std::move(b.expr)),
-              est};
-    }
+      return ppl::PplBinExpr::Complement(Rewrite(*p.left, splits));
+    case ppl::PplBinKind::kFilter:
+      return ppl::PplBinExpr::Filter(Rewrite(*p.left, splits));
+    case ppl::PplBinKind::kUnion:
+      return ppl::PplBinExpr::Union(Rewrite(*p.left, splits),
+                                    Rewrite(*p.right, splits));
     case ppl::PplBinKind::kCompose:
       break;
   }
-
   std::vector<const ppl::PplBinExpr*> raw;
   FlattenCompose(p, &raw);
   std::vector<ppl::PplBinPtr> factors;
-  std::vector<RelationEst> ests;
   factors.reserve(raw.size());
-  ests.reserve(raw.size());
-  for (const ppl::PplBinExpr* f : raw) {
-    Reassociated r = Reassociate(*f, c, dense, chains);
-    factors.push_back(std::move(r.expr));
-    ests.push_back(r.est);
+  for (const ppl::PplBinExpr* f : raw) factors.push_back(Rewrite(*f, splits));
+  if (const ChainSplits::Chain* chain = splits.Find(&p)) {
+    return BuildChain(*chain, factors, 0, factors.size() - 1);
   }
-  const std::size_t k = factors.size();
-  const ChainDp dp(std::move(ests), c, dense);
   std::size_t next = 0;
-  const ppl::PplBinPtr parsed = CloneSkeleton(p, factors, &next);
-  ChainBuilder builder{dp.split, factors};
-  ppl::PplBinPtr optimized = builder.Build(0, k - 1);
-  if (!optimized->Equals(*parsed)) ++*chains;
-  return {std::move(optimized), dp.est[0][k - 1]};
+  return ParsedSkeleton(p, factors, &next);
+}
+
+/// The operation counts of a plan on the dense and on the sparse route.
+struct MatrixOps {
+  OpCounts dense;
+  OpCounts sparse;
+};
+
+MatrixOps operator+(const MatrixOps& a, const OpCounts& b) {
+  return {a.dense + b, a.sparse + b};
+}
+
+MatrixOps operator+(const MatrixOps& a, const MatrixOps& b) {
+  return {a.dense + b.dense, a.sparse + b.sparse};
+}
+
+/// The row-restricted matrix route: positive operators propagate one node
+/// set (one |t|-node sweep per step); a complement over a plain step runs
+/// one kernel pass over the cached axis relation; any other complement
+/// materializes its operand's relation in the plan's representation --
+/// in the association the DP picked for it (`operands`), or as parsed
+/// when `operands` is null. On a positive query this is exactly GKP's
+/// monadic propagation.
+MatrixOps Monadic(const ppl::PplBinExpr& p, const CostContext& c,
+                  const OperandEsts* operands) {
+  switch (p.kind) {
+    case ppl::PplBinKind::kStep:
+      return {Visits(c.n), Visits(c.n)};
+    case ppl::PplBinKind::kCompose:
+    case ppl::PplBinKind::kUnion:
+      return Monadic(*p.left, c, operands) + Monadic(*p.right, c, operands) +
+             Words(c.wpr);
+    case ppl::PplBinKind::kFilter:
+      // The domain resolves by a preimage walk of the same shape.
+      return Monadic(*p.left, c, operands) + Words(c.wpr);
+    case ppl::PplBinKind::kComplement: {
+      const OpCounts flip = Visits(c.n) + Words(c.wpr);
+      if (p.left->kind == ppl::PplBinKind::kStep) {
+        const AxisShape& axis = c.axis(p.left->axis);
+        const OpCounts pass = c.interval_cache
+                                  ? Runs(c.n * (axis.runs_per_row + 1.0))
+                                  : Words(c.n * c.wpr);
+        return {flip + pass, flip + pass};
+      }
+      if (operands != nullptr) {
+        for (const auto& [operand, est] : *operands) {
+          if (operand == p.left.get()) {
+            return {flip + est.dense.dense, flip + est.sparse.sparse};
+          }
+        }
+      }
+      const RelationEst e = Estimate(*p.left, c);
+      return {flip + e.dense, flip + e.sparse};
+    }
+  }
+  return {Visits(c.n), Visits(c.n)};
+}
+
+/// Every route's price (PriceRoutes), plus what PlanQuery executes of
+/// it: each matrix route's query in the association it was priced in.
+struct Pricing {
+  RouteCosts routes;
+  RouteOps ops;
+  /// The chains the reassociation DP reassociates on the dense and the
+  /// sparse route. Empty where the plan materializes nothing, in parse
+  /// order, and for an inadmissible dense route.
+  ChainSplits dense_splits;
+  ChainSplits sparse_splits;
+};
+
+Pricing Price(const CompiledQuery& q, const Tree& tree, ResultShape shape,
+              bool parse_order) {
+  Pricing out;
+  if (q.pplbin == nullptr) return out;
+  // Representation matters only where the matrix engine materializes
+  // relations: full-relation shapes, and monadic plans whose complement
+  // structure forces sub-matrices. Above the dense ceiling no dense
+  // n x n form exists, so dense routes -- and GKP's dense full-relation
+  // answer -- are inadmissible there, and sparse is admissible whatever
+  // its peak estimate: the engine's run budget is the enforceable bound
+  // (a genuinely dense instance trips kResourceExhausted at the first
+  // over-budget merge). Under the ceiling a sparse route whose estimated
+  // peak run bytes exceed the budget is inadmissible; dense takes it.
+  const ppl::PplBinExpr& p = *q.pplbin;
+  const CostContext c(tree);
+  const double n = c.n;
+  const bool monadic = shape != ResultShape::kFullRelation;
+  const bool materializes = !monadic || HasNonStepComplement(p);
+  const bool dense_ok =
+      !materializes || n <= static_cast<double>(BitMatrix::kMaxDenseNodes);
+  // Each matrix route is priced in the association it executes: the
+  // DP's pick for its representation, or as parsed when forced. One
+  // bottom-up pass estimates both routes.
+  RouteEsts est;
+  OperandEsts operands;
+  if (materializes && parse_order) {
+    est.dense = est.sparse = Estimate(p, c);
+  } else if (materializes) {
+    Reassociation pass{c, dense_ok, &out.dense_splits, &out.sparse_splits,
+                       &operands};
+    est = pass.Run(p);
+  }
+  const bool sparse_ok =
+      !dense_ok || !materializes ||
+      SparsePeakBytes(est.sparse, n) <=
+          static_cast<double>(kSparseEvalByteBudget);
+  RouteOps& counts = out.ops;
+  if (monadic) {
+    const MatrixOps m = Monadic(p, c, parse_order ? nullptr : &operands);
+    counts.dense = m.dense;
+    // Without materialized sub-matrices the representation is moot.
+    counts.sparse = materializes ? m.sparse : m.dense;
+    // Both engines run the identical node-set propagation on a positive
+    // query; PlanQuery's tie-break prefers GKP (it shares the
+    // filter-domain cache across calls).
+    counts.gkp = counts.dense;
+  } else {
+    counts.dense = est.dense.dense;
+    // Under the ceiling the payload is dense: the runs are expanded.
+    counts.sparse = est.sparse.sparse;
+    if (dense_ok) {
+      counts.sparse +=
+          Words(n * c.wpr) + Runs(n * est.sparse.runs) + OpCounts{.row = n};
+    }
+    counts.gkp = GkpFull(p, q.pplbin_size, est.sparse, c);
+  }
+  const OpCounts build = AxisBuild(MatrixAxes(p, !monadic), c);
+  counts.dense += build;
+  counts.sparse += build;
+  if (materializes) {
+    // The memory each route holds at its widest point, which is what
+    // peak RSS sees: a product's three packed matrices, or the estimated
+    // peak of live runs plus their row offsets.
+    counts.dense += Resident(3.0 * n * c.wpr);
+    counts.sparse += Resident(est.sparse.peak_runs + 1.5 * n);
+  }
+  // GKP evaluates positive queries only, and its full-relation answer is
+  // a dense matrix: inadmissible wherever dense is.
+  const UnitPrices& prices = kFittedUnitPrices;
+  out.routes.gkp = q.positive && (monadic || dense_ok)
+                       ? counts.gkp.Ns(prices)
+                       : kInf;
+  out.routes.dense = dense_ok ? counts.dense.Ns(prices) : kInf;
+  out.routes.sparse = sparse_ok ? counts.sparse.Ns(prices) : kInf;
+  return out;
 }
 
 }  // namespace
@@ -719,73 +969,9 @@ std::string ExecutionPlan::DebugString() const {
 
 RouteCosts PriceRoutes(const CompiledQuery& q, const Tree& tree,
                        ResultShape shape, bool parse_order, RouteOps* ops) {
-  RouteCosts routes;
-  if (q.pplbin == nullptr) return routes;
-  // Representation matters only where the matrix engine materializes
-  // relations: full-relation shapes, and monadic plans whose complement
-  // structure forces sub-matrices. Above the dense ceiling no dense
-  // n x n form exists, so dense routes -- and GKP's dense full-relation
-  // answer -- are inadmissible there, and sparse is admissible whatever
-  // its peak estimate: the engine's run budget is the enforceable bound
-  // (a genuinely dense instance trips kResourceExhausted at the first
-  // over-budget merge). Under the ceiling a sparse route whose estimated
-  // peak run bytes exceed the budget is inadmissible; dense takes it.
-  const CostContext c(tree);
-  const double n = c.n;
-  const bool monadic = shape != ResultShape::kFullRelation;
-  const bool materializes = !monadic || HasNonStepComplement(*q.pplbin);
-  const bool dense_ok =
-      !materializes || n <= static_cast<double>(BitMatrix::kMaxDenseNodes);
-  // Each matrix route is priced in the association it executes: the
-  // DP's pick for its representation, or as parsed when forced.
-  const Association dense_assoc =
-      parse_order ? Association::kParsed : Association::kDense;
-  const Association sparse_assoc =
-      parse_order ? Association::kParsed : Association::kSparse;
-  const RelationEst est =
-      materializes ? Estimate(*q.pplbin, c, sparse_assoc) : RelationEst{};
-  const bool sparse_ok =
-      !dense_ok || !materializes ||
-      SparsePeakBytes(est, n) <= static_cast<double>(kSparseEvalByteBudget);
-  RouteOps counts;
-  if (monadic) {
-    counts.dense = Monadic(*q.pplbin, c, dense_assoc, /*dense=*/true);
-    counts.sparse = materializes
-                        ? Monadic(*q.pplbin, c, sparse_assoc, /*dense=*/false)
-                        : counts.dense;
-    // Both engines run the identical node-set propagation on a positive
-    // query; PlanQuery's tie-break prefers GKP (it shares the
-    // filter-domain cache across calls).
-    counts.gkp = counts.dense;
-  } else {
-    counts.dense = Estimate(*q.pplbin, c, dense_assoc).dense;
-    // Under the ceiling the payload is dense: the runs are expanded.
-    counts.sparse = est.sparse;
-    if (dense_ok) {
-      counts.sparse +=
-          Words(n * c.wpr) + Runs(n * est.runs) + OpCounts{.row = n};
-    }
-    counts.gkp = GkpFull(*q.pplbin, q.pplbin_size, est, c);
-  }
-  const OpCounts build = AxisBuild(MatrixAxes(*q.pplbin, !monadic), c);
-  counts.dense += build;
-  counts.sparse += build;
-  if (materializes) {
-    // The memory each route holds at its widest point, which is what
-    // peak RSS sees: a product's three packed matrices, or the estimated
-    // peak of live runs plus their row offsets.
-    counts.dense += Resident(3.0 * n * c.wpr);
-    counts.sparse += Resident(est.peak_runs + 1.5 * n);
-  }
-  if (ops != nullptr) *ops = counts;
-  // GKP evaluates positive queries only, and its full-relation answer is
-  // a dense matrix: inadmissible wherever dense is.
-  const UnitPrices& prices = kFittedUnitPrices;
-  routes.gkp = q.positive && (monadic || dense_ok) ? counts.gkp.Ns(prices)
-                                                   : kInf;
-  routes.dense = dense_ok ? counts.dense.Ns(prices) : kInf;
-  routes.sparse = sparse_ok ? counts.sparse.Ns(prices) : kInf;
-  return routes;
+  Pricing pricing = Price(q, tree, shape, parse_order);
+  if (ops != nullptr) *ops = pricing.ops;
+  return pricing.routes;
 }
 
 ExecutionPlan PlanQuery(const CompiledQuery& q, const Tree& tree,
@@ -859,7 +1045,8 @@ ExecutionPlan PlanQuery(const CompiledQuery& q, const Tree& tree,
   if (shape == ResultShape::kTupleStream) {
     plan.backing = StreamBacking::kNodeSet;
   }
-  plan.routes = PriceRoutes(q, tree, shape, force_parse_order);
+  Pricing pricing = Price(q, tree, shape, force_parse_order);
+  plan.routes = pricing.routes;
   const bool monadic = shape != ResultShape::kFullRelation;
 
   // Cheapest admissible route; ties go to GKP, then dense. A forced
@@ -889,20 +1076,20 @@ ExecutionPlan PlanQuery(const CompiledQuery& q, const Tree& tree,
     plan.cost = plan.routes.gkp;
   }
 
-  // Composition-chain reassociation: only matrix plans that materialize
-  // relations care about association order (monadic sweeps are
-  // association-invariant), and forced parse-order plans are the
-  // differential baseline.
-  if (!force_parse_order && plan.engine == EnginePlan::kMatrixGeneral &&
-      (!monadic || HasNonStepComplement(*q.pplbin))) {
-    std::size_t chains = 0;
-    Reassociated opt =
-        Reassociate(*q.pplbin, CostContext(tree),
-                    plan.repr != MatrixRepr::kSparse, &chains);
-    if (chains > 0) {
-      plan.reassociated =
-          std::shared_ptr<const ppl::PplBinExpr>(std::move(opt.expr));
-      plan.chains_reassociated = static_cast<std::uint32_t>(chains);
+  // Composition-chain reassociation: a matrix plan that materializes
+  // relations executes the association its representation was priced in
+  // (a forced kAuto the dense one, where it exists). Pricing leaves no
+  // rewrite for monadic sweeps, which are association-invariant, nor for
+  // forced parse-order plans, the differential baseline.
+  if (plan.engine == EnginePlan::kMatrixGeneral) {
+    const ChainSplits& splits =
+        plan.repr == MatrixRepr::kSparse || std::isinf(plan.routes.dense)
+            ? pricing.sparse_splits
+            : pricing.dense_splits;
+    if (!splits.changed.empty()) {
+      plan.reassociated = Rewrite(*q.pplbin, splits);
+      plan.chains_reassociated =
+          static_cast<std::uint32_t>(splits.changed.size());
     }
   }
   return plan;

@@ -3,10 +3,11 @@
 //
 // CompileQuery (engine/compiled_query.h) is tree-independent and records
 // every admissible engine; this layer picks one per (compiled query,
-// tree, result shape) using the Tree::Stats() statistics that
-// TreeBuilder::Finish() precomputes -- node count, label posting-list
-// sizes, and the exact mean cells and runs per row of each axis
-// relation. Every admissible route (GKP, dense matrix, sparse matrix) is
+// tree, result shape) using the tree's statistics: node count and label
+// posting-list sizes from Tree::Stats(), which TreeBuilder::Finish()
+// precomputes, and exact row statistics of each axis relation
+// (Tree::AxisShapes(), PairRuns(), Targets()), computed once per tree on
+// first use. Every admissible route (GKP, dense matrix, sparse matrix) is
 // priced in estimated nanoseconds and the cheapest wins, in one
 // comparison. The decision follows the paper's complexity landscape,
 // made quantitative:
@@ -115,8 +116,9 @@ struct RouteCosts {
 
 /// Unit prices of the planner's cost model, in estimated nanoseconds per
 /// operation on the reference machine. Every route estimate counts
-/// operations of these kinds (and the memory they leave resident), so GKP, dense and sparse estimates
-/// share one unit and the planner picks a route in one comparison.
+/// operations of these kinds (and the memory they leave resident), so
+/// GKP, dense and sparse estimates share one unit and the planner picks a
+/// route in one comparison.
 struct UnitPrices {
   /// One node visited by one image sweep (AxisImage, GKP and monadic).
   double visit;
@@ -128,8 +130,6 @@ struct UnitPrices {
   /// product's row ORs, the sparse kernels' accumulator rows and their
   /// scans of packed axis rows.
   double hot_word;
-  /// One comparison of a sparse product's sort-merge of gathered runs.
-  double compare;
   /// One run gathered, copied or emitted by a run-list kernel.
   double run;
   /// One row of a run-list kernel: its fixed per-row work (offsets,
@@ -148,21 +148,18 @@ struct OpCounts {
   double visit = 0.0;
   double word = 0.0;
   double hot_word = 0.0;
-  double compare = 0.0;
   double run = 0.0;
   double row = 0.0;
   double resident_word = 0.0;
 
   double Ns(const UnitPrices& p) const {
     return visit * p.visit + word * p.word + hot_word * p.hot_word +
-           compare * p.compare + run * p.run + row * p.row +
-           resident_word * p.resident_word;
+           run * p.run + row * p.row + resident_word * p.resident_word;
   }
   OpCounts& operator+=(const OpCounts& o) {
     visit += o.visit;
     word += o.word;
     hot_word += o.hot_word;
-    compare += o.compare;
     run += o.run;
     row += o.row;
     resident_word += o.resident_word;
@@ -175,8 +172,8 @@ struct OpCounts {
 /// bench/bench_planner_calibration.cc (method and fit in
 /// docs/ARCHITECTURE.md, "Query planner"). Refit after changing a kernel.
 inline constexpr UnitPrices kFittedUnitPrices{
-    .visit = 0.34, .word = 3.3, .hot_word = 0.23, .compare = 0.0, .run = 0.29,
-    .row = 37.0, .resident_word = 10.0};
+    .visit = 0.34, .word = 3.3, .hot_word = 0.23, .run = 0.29, .row = 37.0,
+    .resident_word = 10.0};
 
 /// The planner's decision for one (compiled query, tree, shape): which
 /// engine runs and whether it takes the row-restricted entry point.

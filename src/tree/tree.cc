@@ -140,6 +140,7 @@ double Sum(const std::vector<std::uint32_t>& x) {
 struct Tree::LazyShapes {
   std::once_flag axes_once;
   std::array<AxisShape, kAllAxes.size()> axes{};
+  std::array<double, kAllAxes.size()> pair_runs{};
   std::once_flag targets_once;
   TargetStats targets;
 };
@@ -149,9 +150,17 @@ void Tree::ResetShapeStats() { shapes_ = std::make_shared<LazyShapes>(); }
 const std::array<AxisShape, 7>& Tree::AxisShapes() const {
   static const std::array<AxisShape, 7> kEmpty{};
   if (shapes_ == nullptr) return kEmpty;
-  std::call_once(shapes_->axes_once,
-                 [this] { shapes_->axes = ComputeAxisShapes(); });
+  std::call_once(shapes_->axes_once, [this] {
+    ComputeAxisShapes(&shapes_->axes, &shapes_->pair_runs);
+  });
   return shapes_->axes;
+}
+
+const std::array<double, 7>& Tree::PairRuns() const {
+  static const std::array<double, 7> kEmpty{};
+  if (shapes_ == nullptr) return kEmpty;
+  AxisShapes();
+  return shapes_->pair_runs;
 }
 
 const TargetStats& Tree::Targets() const {
@@ -209,21 +218,91 @@ void Tree::ComputeRowShapes(RowShapes* cells, RowShapes* runs) const {
   }
 }
 
-std::array<AxisShape, 7> Tree::ComputeAxisShapes() const {
-  std::array<AxisShape, 7> shapes{};
+void Tree::ComputeAxisShapes(std::array<AxisShape, 7>* shapes,
+                             std::array<double, 7>* pair_runs) const {
+  *shapes = {};
+  *pair_runs = {};
   const std::size_t n = parent_.size();
-  if (n == 0) return shapes;
+  if (n == 0) return;
   RowShapes cells;
   RowShapes runs;
   ComputeRowShapes(&cells, &runs);
   const double dn = static_cast<double>(n);
-  shapes[At(Axis::kSelf)] = {1.0, 1.0};
+  (*shapes)[At(Axis::kSelf)] = {1.0, 1.0};
   // Every node but the root has one parent cell.
-  shapes[At(Axis::kParent)] = {(dn - 1.0) / dn, (dn - 1.0) / dn};
+  (*shapes)[At(Axis::kParent)] = {(dn - 1.0) / dn, (dn - 1.0) / dn};
   for (std::size_t i = 0; i < kVarying; ++i) {
-    shapes[At(kVaryingAxes[i])] = {Sum(cells[i]) / dn, Sum(runs[i]) / dn};
+    (*shapes)[At(kVaryingAxes[i])] = {Sum(cells[i]) / dn, Sum(runs[i]) / dn};
   }
-  return shapes;
+  if (n == 1) return;
+  // Runs of the union of rows v - 1 and v. Either v - 1 is v's parent
+  // (v is its first child), or v - 1 is the last node -- a leaf -- of the
+  // subtree of v's previous sibling. Node ids are range-checked, as in
+  // ComputeRowShapes.
+  enum { kC, kD, kA, kF, kP };  // ComputeRowShapes' order
+  const auto valid = [n](NodeId x) { return x < n; };
+  // The last child of x is a leaf iff it ends x's subtree.
+  const auto last_child_is_leaf = [&](NodeId x) {
+    const std::size_t end = std::size_t{x} + subtree_size_[x];
+    return end >= 1 && end - 1 < n && parent_[end - 1] == x;
+  };
+  std::array<double, 7> total{};
+  for (NodeId v = 1; v < n; ++v) {
+    const NodeId u = v - 1;
+    const NodeId p = parent_[v];
+    if (!valid(p)) continue;
+    const bool first_child = p == u;
+    const auto r = [&](std::size_t axis, NodeId x) {
+      return static_cast<double>(runs[axis][x]);
+    };
+    total[At(Axis::kSelf)] += 1.0;  // u and v are adjacent
+    // parent: {parent(u)} and {p}, adjacent or equal unless u's parent
+    // lies deeper in the previous sibling's subtree.
+    const NodeId pu = parent_[u];
+    total[At(Axis::kParent)] +=
+        !valid(pu) || pu == p || pu == p + 1 || pu + 1 == p ? 1.0 : 2.0;
+    if (first_child) {
+      // child: v's child row starts at v + 1, next to u's child v, and
+      // ends next to v's next sibling when v's last child is a leaf.
+      const double rv = r(kC, v);
+      const bool ends_next_to_sibling =
+          rv > 0.0 && last_child_is_leaf(v) && valid(next_sibling_[v]);
+      total[At(Axis::kChild)] += r(kC, u) + rv - (rv > 0.0 ? 1.0 : 0.0) -
+                                 (ends_next_to_sibling ? 1.0 : 0.0);
+      total[At(Axis::kDescendant)] += r(kD, u);  // D(v) within D(u)
+      total[At(Axis::kAncestor)] += r(kA, v);    // A(u) within A(v)
+      // following_sibling: v's row (inside u's subtree) joins u's row
+      // when u's last child, a leaf, ends u's subtree.
+      const double fv = r(kF, v);
+      const double fu = r(kF, u);
+      total[At(Axis::kFollowingSibling)] +=
+          fv + fu - (fv > 0.0 && fu > 0.0 && last_child_is_leaf(u) ? 1.0
+                                                                     : 0.0);
+      total[At(Axis::kPrecedingSibling)] += r(kP, u);  // P(v) is empty
+    } else {
+      // u is a leaf: no child or descendant row of its own.
+      const NodeId ps = prev_sibling_[v];
+      total[At(Axis::kChild)] += r(kC, v);
+      total[At(Axis::kDescendant)] += r(kD, v);
+      total[At(Axis::kAncestor)] += r(kA, u);  // A(v) within A(u)
+      if (ps == u) {
+        // u is v's previous sibling: F(v) within F(u), P(u) within P(v).
+        total[At(Axis::kFollowingSibling)] += r(kF, u);
+        total[At(Axis::kPrecedingSibling)] += r(kP, v);
+      } else {
+        // u ends ps's subtree as its parent's last child: F(u) is empty,
+        // and P(u) starts at ps + 1, next to ps, when that parent is ps.
+        const double pv = r(kP, v);
+        const double pu = r(kP, u);
+        total[At(Axis::kFollowingSibling)] += r(kF, v);
+        total[At(Axis::kPrecedingSibling)] +=
+            pv + pu - (pu > 0.0 && parent_[u] == ps ? 1.0 : 0.0);
+      }
+    }
+  }
+  for (std::size_t a = 0; a < total.size(); ++a) {
+    (*pair_runs)[a] = total[a] / (dn - 1.0);
+  }
 }
 
 TargetStats Tree::ComputeTargets() const {

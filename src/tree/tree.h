@@ -150,6 +150,12 @@ class Tree {
   /// indexed by static_cast<std::size_t>(Axis) (tree/axes.h kAllAxes
   /// order; read them through AxisShapeOf).
   const std::array<AxisShape, 7>& AxisShapes() const;
+  /// PairRuns()[A]: the mean runs of the union of the A-rows of two
+  /// nodes adjacent in document order (v - 1 and v, over v = 1..|t|-1;
+  /// 0 on a one-node tree), computed with AxisShapes(). How far rows of
+  /// neighbouring nodes coalesce: on a path every child row joins its
+  /// neighbour's into one run.
+  const std::array<double, 7>& PairRuns() const;
   /// The shapes of the rows a composition gathers (TargetStats).
   const TargetStats& Targets() const;
 
@@ -229,8 +235,9 @@ class Tree {
   /// per-row run recurrences.
   using RowShapes = std::array<std::vector<std::uint32_t>, 5>;
   void ComputeRowShapes(RowShapes* cells, RowShapes* runs) const;
-  /// AxisShapes(): the means of ComputeRowShapes' rows.
-  std::array<AxisShape, 7> ComputeAxisShapes() const;
+  /// AxisShapes(): the means of ComputeRowShapes' rows; and PairRuns().
+  void ComputeAxisShapes(std::array<AxisShape, 7>* shapes,
+                         std::array<double, 7>* pair_runs) const;
   /// TargetStats from ComputeRowShapes' rows.
   TargetStats ComputeTargets() const;
   /// Drops the shape statistics of a previous tree; they are computed

@@ -137,6 +137,7 @@ TEST(SnapshotSegmentTest, DecodedTreeRecomputesPlannerStats) {
     ASSERT_TRUE(decoded.ok()) << decoded.status();
     EXPECT_EQ(decoded->Stats(), t.Stats());
     EXPECT_EQ(decoded->AxisShapes(), t.AxisShapes());
+    EXPECT_EQ(decoded->PairRuns(), t.PairRuns());
     EXPECT_EQ(decoded->Targets().axes, t.Targets().axes);
   }
 }

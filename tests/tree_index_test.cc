@@ -176,6 +176,32 @@ TEST(TreeStatsTest, AxisShapesAreTheIntervalRelationsMeans) {
   }
 }
 
+TEST(TreeStatsTest, PairRunsAreTheRunsOfAdjacentRowUnions) {
+  for (const Tree& t : StatFamilies()) {
+    AxisCache cache(t, AxisBacking::kInterval);
+    const std::size_t n = t.size();
+    for (Axis axis : kAllAxes) {
+      const IntervalMatrix& m = *cache.Matrix(axis).AsInterval();
+      double runs = 0.0;
+      for (std::size_t v = 1; v < n; ++v) {
+        std::vector<bool> row(n, false);
+        for (std::size_t u : {v - 1, v}) {
+          auto [first, last] = m.RunsOf(u);
+          for (auto it = first; it != last; ++it) {
+            for (std::uint32_t x = it->begin; x < it->end; ++x) row[x] = true;
+          }
+        }
+        for (std::size_t x = 0; x < n; ++x) {
+          if (row[x] && (x == 0 || !row[x - 1])) runs += 1.0;
+        }
+      }
+      const double want = n > 1 ? runs / static_cast<double>(n - 1) : 0.0;
+      EXPECT_NEAR(t.PairRuns()[static_cast<std::size_t>(axis)], want, 1e-9)
+          << AxisName(axis) << " on " << t.ToTerm().substr(0, 40);
+    }
+  }
+}
+
 TEST(TreeStatsTest, TargetStatsMatchBruteForce) {
   for (const Tree& t : StatFamilies()) {
     AxisCache cache(t, AxisBacking::kInterval);

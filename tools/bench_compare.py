@@ -65,6 +65,8 @@ COUNTER_BOUNDS = [
 # planner's route choice is gated on the cold crossover family: summed
 # over the auto arms (repr 0, the last argument), the fastest forced
 # routes must take at least 80% of the time the planner's routes took.
+# Checked against the candidate (full-suite) file, never --counters: the
+# fresh-process counters run covers the snapshot section only.
 RATIO_BOUNDS = [
     (r"BM_CrossoverFullRelation/\d+/\d+/0$", "forced_min_ms", "auto_ms",
      0.8),
@@ -115,6 +117,17 @@ def check_counter_bounds(path):
         if not matched:
             errors.append(f"counter bound '{prefix}' matched no candidate "
                           f"benchmark")
+    return errors
+
+
+def check_ratio_bounds(path):
+    """RATIO_BOUNDS violations in a benchmark JSON, as error strings.
+
+    As with COUNTER_BOUNDS, a bound with no matching benchmark fails.
+    """
+    with open(path, encoding="utf-8") as f:
+        doc = json.load(f)
+    errors = []
     for pattern, num, den, minimum in RATIO_BOUNDS:
         sums = [0.0, 0.0]
         matched = False
@@ -159,7 +172,8 @@ def main():
                         help="compare raw times (same-machine runs only)")
     parser.add_argument("--counters", default=None, metavar="FILE",
                         help="benchmark JSON to check COUNTER_BOUNDS "
-                             "against (default: the candidate file)")
+                             "against (default: the candidate file); "
+                             "RATIO_BOUNDS always read the candidate")
     args = parser.parse_args()
 
     base = load_times(args.baseline)
@@ -200,6 +214,7 @@ def main():
                 f"1 + {args.threshold:.2f}")
 
     errors.extend(check_counter_bounds(args.counters or args.candidate))
+    errors.extend(check_ratio_bounds(args.candidate))
 
     for error in errors:
         print(f"FAIL: {error}")
