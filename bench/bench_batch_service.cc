@@ -424,7 +424,7 @@ void BM_AxisBuildDense(benchmark::State& state) {
   Tree t = BenchTree(static_cast<std::size_t>(state.range(0)));
   std::size_t bytes = 0;
   for (auto _ : state) {
-    AxisCache cache(t, AxisBacking::kDense);
+    AxisCache cache(t, MatrixRepr::kDense);
     for (Axis axis : kAllAxes) benchmark::DoNotOptimize(cache.Matrix(axis));
     bytes = cache.approx_resident_bytes();
   }
@@ -436,7 +436,7 @@ void BM_AxisBuildInterval(benchmark::State& state) {
   Tree t = BenchTree(static_cast<std::size_t>(state.range(0)));
   std::size_t bytes = 0;
   for (auto _ : state) {
-    AxisCache cache(t, AxisBacking::kInterval);
+    AxisCache cache(t, MatrixRepr::kSparse);
     for (Axis axis : kAllAxes) benchmark::DoNotOptimize(cache.Matrix(axis));
     bytes = cache.approx_resident_bytes();
   }
@@ -527,7 +527,7 @@ void BM_SparseCompose(benchmark::State& state) {
   ppl::MatrixEngineStats stats;
   for (auto _ : state) {
     ppl::MatrixEngine eng(cache, ppl::MultiplyMode::kBitPacked, repr);
-    Result<ppl::AnyMatrix> rel = eng.EvaluateAny(p);
+    Result<BoolMatrix> rel = eng.EvaluateAny(p);
     if (!rel.ok()) {
       state.SkipWithError(rel.status().ToString().c_str());
       return;

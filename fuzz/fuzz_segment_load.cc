@@ -6,7 +6,7 @@
 // flips therefore die in the CRC wall and never reach the decoders
 // behind it, so LLVMFuzzerCustomMutator re-fixes every checksum (and
 // the total-byte field) after mutating: flipped *payload* bytes arrive
-// at TreeIo::DecodeTree / DecodeIntervalMatrix / the meta parser as
+// at TreeIo::DecodeTree / DecodeSparseMatrix / the meta parser as
 // "validly framed" corruption -- exactly the depth the snapshot_test
 // corruption battery samples by hand, explored here exhaustively. A
 // small fraction of mutations skips the fix-up so the framing/CRC

@@ -1,6 +1,6 @@
-// Fuzz target: the binary tree / interval-matrix codec (tree/tree_io.h).
+// Fuzz target: the binary tree / run-list matrix codec (tree/tree_io.h).
 //
-// The first input byte selects the decoder (even = tree, odd = interval
+// The first input byte selects the decoder (even = tree, odd = run-list
 // matrix); the rest is the payload. Beyond crash-freedom -- every
 // malformed payload must come back as a typed Status, never a wild read
 // or absurd allocation -- accepted payloads must re-encode stably:
@@ -18,21 +18,21 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
   const bool decode_matrix = (data[0] & 1) != 0;
   xpv::ByteReader reader(data + 1, size - 1);
   if (decode_matrix) {
-    xpv::Result<xpv::IntervalMatrix> m =
-        xpv::TreeIo::DecodeIntervalMatrix(reader);
+    xpv::Result<xpv::SparseBoolMatrix> m =
+        xpv::TreeIo::DecodeSparseMatrix(reader);
     if (!m.ok()) return 0;
     std::string encoded;
     xpv::ByteWriter w(&encoded);
-    xpv::TreeIo::EncodeIntervalMatrix(m.value(), w);
+    xpv::TreeIo::EncodeSparseMatrix(m.value(), w);
     xpv::ByteReader reread(
         reinterpret_cast<const std::uint8_t*>(encoded.data()),
         encoded.size());
-    xpv::Result<xpv::IntervalMatrix> m2 =
-        xpv::TreeIo::DecodeIntervalMatrix(reread);
+    xpv::Result<xpv::SparseBoolMatrix> m2 =
+        xpv::TreeIo::DecodeSparseMatrix(reread);
     if (!m2.ok()) std::abort();
     std::string encoded2;
     xpv::ByteWriter w2(&encoded2);
-    xpv::TreeIo::EncodeIntervalMatrix(m2.value(), w2);
+    xpv::TreeIo::EncodeSparseMatrix(m2.value(), w2);
     if (encoded2 != encoded) std::abort();
     return 0;
   }

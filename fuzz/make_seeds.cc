@@ -110,7 +110,7 @@ void HclSeeds(const std::string& root) {
 }
 
 /// Prefix byte steers fuzz_tree_decode: even = DecodeTree, odd =
-/// DecodeIntervalMatrix.
+/// DecodeSparseMatrix.
 void TreeDecodeSeeds(const std::string& root) {
   const std::string dir = TargetDir(root, "tree_decode");
   xpv::Rng rng(7);
@@ -139,12 +139,11 @@ void TreeDecodeSeeds(const std::string& root) {
   {
     // Interval-run form of a real axis relation, as the snapshot axes
     // section stores it.
-    xpv::AxisCache cache(biblio, xpv::AxisBacking::kInterval);
-    const xpv::BoolMatrix& m = cache.Matrix(xpv::Axis::kDescendant);
+    xpv::AxisCache cache(biblio, xpv::MatrixRepr::kSparse);
     std::string bytes(1, '\1');
     xpv::ByteWriter w(&bytes);
-    xpv::TreeIo::EncodeIntervalMatrix(
-        static_cast<const xpv::IntervalMatrix&>(m), w);
+    xpv::TreeIo::EncodeSparseMatrix(
+        cache.Matrix(xpv::Axis::kDescendant).sparse(), w);
     WriteSeed(dir, "matrix_descendant", bytes);
   }
   // Regression: a 16-byte input claiming 2^31 nodes provoked a
@@ -176,7 +175,7 @@ void SegmentSeeds(const std::string& root) {
   }
   {
     // Warm segment: axes section carrying two materialized relations.
-    xpv::AxisCache cache(biblio, xpv::AxisBacking::kInterval);
+    xpv::AxisCache cache(biblio, xpv::MatrixRepr::kSparse);
     cache.Matrix(xpv::Axis::kChild);
     cache.Matrix(xpv::Axis::kDescendant);
     const std::string path = dir + "/segment_with_axes";

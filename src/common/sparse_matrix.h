@@ -1,8 +1,16 @@
-// Sparse Boolean composition kernels over CSR run-lists.
+// Succinct square Boolean matrices: CSR run lists and their kernels.
 //
-// PR 6 made axis *storage* succinct (IntervalMatrix); this header makes
-// *composition* succinct. A SparseBoolMatrix is an IntervalMatrix that can
-// also be built incrementally (Builder), converted from/to dense, and --
+// On a pre-order-numbered tree the axis relations are interval-structured
+// -- a subtree is the contiguous id range [v, v + SubtreeSize(v)), so a
+// descendant row is a single run and ancestor / sibling rows are unions of
+// a few runs. A SparseBoolMatrix stores each row as sorted, disjoint,
+// non-adjacent runs in CSR layout, O(total runs) space. One class serves
+// every run-list use: cached axis relations (tree/axes.h
+// AxisSparseMatrix), composition in ppl::MatrixEngine, the snapshot codec
+// (tree/tree_io.h), and full-relation payloads above the dense ceiling.
+// It can be read (the monadic kernels run on the runs directly:
+// SetRange / ClearRange / AnyInRange, never expanding the relation),
+// built incrementally (Builder), converted from/to dense, and --
 // the point -- multiplied, OR-ed, complemented and diagonal-filtered
 // without ever expanding to the O(n^2)-bit dense form. That lifts the
 // BitMatrix::kMaxDenseNodes ceiling from the full-relation evaluation
@@ -30,27 +38,21 @@
 #define XPV_COMMON_SPARSE_MATRIX_H_
 
 #include <cstdint>
-#include <string_view>
+#include <utility>
 #include <vector>
 
 #include "common/bit_matrix.h"
-#include "common/bool_matrix.h"
 #include "common/status.h"
 
 namespace xpv {
 
-/// Which representation the matrix engine composes in (engine mode and
-/// planner decision alike). kAuto lets the engine pick per node from the
-/// axis-cache backing and per-operand density estimates; kDense / kSparse
-/// force one representation end-to-end (tests, ablations, forced plans).
-enum class MatrixRepr {
-  kAuto,
-  kDense,
-  kSparse,
-};
+/// One maximal run of set columns [begin, end) in a row.
+struct IntervalRun {
+  std::uint32_t begin;
+  std::uint32_t end;
 
-/// "auto" / "dense" / "sparse" (EnginePlanName-style; stats + plan dumps).
-std::string_view MatrixReprName(MatrixRepr repr);
+  bool operator==(const IntervalRun&) const = default;
+};
 
 /// Byte budget for one sparse evaluation's run storage. Sized so a worst
 /// case sparse full-relation job stays far below the container's memory
@@ -60,19 +62,62 @@ std::string_view MatrixReprName(MatrixRepr repr);
 /// whose estimated run footprint exceeds this.
 inline constexpr std::size_t kSparseEvalByteBudget = 128u << 20;
 
-/// IntervalMatrix with composition kernels: the sparse operand/result type
-/// of ppl::MatrixEngine's AnyMatrix evaluation. Shares the IntervalRun CSR
-/// vocabulary (and all read kernels) with the axis-cache representation.
-class SparseBoolMatrix final : public IntervalMatrix {
+/// Per-row sorted, disjoint, non-adjacent (maximal) run lists in CSR
+/// layout: row r's runs are runs_[row_offset_[r] .. row_offset_[r+1]).
+/// The axis builders in tree/axes.cc emit O(|t|) runs for every axis
+/// except ancestor and the sibling axes, which are bounded by O(|t| *
+/// depth) resp. O(|t| * non-leaf-sibling count) and stay near-linear on
+/// realistic shapes.
+///
+/// Read-kernel costs trade the dense words-per-row factor for
+/// runs-per-row: ImageOf / AndOfRows touch only the selected rows' runs
+/// (plus the words they cover), and RowsContaining rejects most rows with
+/// two O(1) span tests before scanning any gap. Immutable once built and
+/// safe to read concurrently.
+class SparseBoolMatrix {
  public:
-  /// Empty 0 x 0 matrix (so AnyMatrix and containers can default-build).
-  SparseBoolMatrix() : IntervalMatrix(0, {0}, {}) {}
-  /// Takes ownership of a prebuilt CSR (same contract as IntervalMatrix).
+  /// Empty 0 x 0 matrix (so containers can default-build).
+  SparseBoolMatrix() : n_(0), row_offset_{0} {}
+  /// Takes ownership of a prebuilt CSR: row_offset has size n + 1, runs
+  /// per row are sorted, disjoint and non-adjacent (maximal).
   SparseBoolMatrix(std::size_t n, std::vector<std::uint32_t> row_offset,
-                   std::vector<IntervalRun> runs)
-      : IntervalMatrix(n, std::move(row_offset), std::move(runs)) {}
+                   std::vector<IntervalRun> runs);
 
-  std::string_view name() const override { return "sparse"; }
+  /// Matrix dimension (number of tree nodes).
+  std::size_t size() const { return n_; }
+  /// Heap bytes of the CSR arrays.
+  std::size_t resident_bytes() const {
+    return row_offset_.size() * sizeof(std::uint32_t) +
+           runs_.size() * sizeof(IntervalRun);
+  }
+  /// Total number of stored runs.
+  std::size_t num_runs() const { return runs_.size(); }
+  /// Runs of one row, for run-native consumers.
+  std::pair<const IntervalRun*, const IntervalRun*> RunsOf(
+      std::size_t row) const {
+    return {runs_.data() + row_offset_[row],
+            runs_.data() + row_offset_[row + 1]};
+  }
+
+  /// Single-cell probe: binary search over the row's runs.
+  bool Get(std::size_t row, std::size_t col) const;
+  /// Materializes one row into `out`, resizing it to size() if needed;
+  /// hot loops pass the same `out` every call (pooled scratch).
+  void RowInto(std::size_t row, BitVector& out) const;
+  /// Row `row` as a freshly allocated BitVector.
+  BitVector Row(std::size_t row) const;
+
+  // Monadic kernels, semantics as on BitMatrix.
+  BitVector ImageOf(const BitVector& rows) const;
+  BitVector AndOfRows(const BitVector& rows) const;
+  BitVector RowsContaining(const BitVector& cols) const;
+  BitVector NonEmptyRows() const;
+  std::size_t Count() const;
+
+  /// Dense copy, one SetRowRange per run. Fails with kResourceExhausted
+  /// beyond BitMatrix::kMaxDenseNodes -- callers on the full-relation
+  /// path are gated by the planner (engine/planner.h) before reaching it.
+  Result<BitMatrix> ToDense() const;
 
   /// Incremental CSR construction. Append() takes rows in non-decreasing
   /// order and, within a row, runs in increasing begin order; overlapping
@@ -109,11 +154,6 @@ class SparseBoolMatrix final : public IntervalMatrix {
 
   /// Exact sparse copy of a dense matrix (word-parallel run extraction).
   static SparseBoolMatrix FromDense(const BitMatrix& m);
-  /// Sparse copy of any BoolMatrix: borrows the CSR directly when `m` is
-  /// interval-backed, extracts runs row by row otherwise. Fails with
-  /// kResourceExhausted when the run count exceeds a nonzero `max_runs`.
-  static Result<SparseBoolMatrix> FromBool(const BoolMatrix& m,
-                                           std::size_t max_runs = 0);
 
   /// Boolean product this . b with sparse output: SpGEMM-style per-row run
   /// merging, falling back to a word-parallel dense accumulator row when
@@ -146,6 +186,11 @@ class SparseBoolMatrix final : public IntervalMatrix {
   /// and re-extracting maximal runs, so the kernel switches per row.
   static constexpr std::size_t kDenseAccumRunFactor = 256;
   static constexpr std::size_t kDenseAccumMinRuns = 32;
+
+ private:
+  std::size_t n_;
+  std::vector<std::uint32_t> row_offset_;  // size n_ + 1
+  std::vector<IntervalRun> runs_;
 };
 
 }  // namespace xpv

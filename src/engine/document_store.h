@@ -121,10 +121,10 @@ struct DocumentStoreOptions {
   std::size_t num_shards = 8;
   /// Representation policy for the per-document AxisCaches this store
   /// creates (tree/axis_cache.h): kAuto picks dense below
-  /// AxisCache::kAutoDenseMaxNodes and interval runs above; kDense /
-  /// kInterval force one (tests, ablations). hot_cache_bytes reflects
+  /// AxisCache::kAutoDenseMaxNodes and run lists above; kDense /
+  /// kSparse force one (tests, ablations). hot_cache_bytes reflects
   /// whichever representation each cache actually built.
-  AxisBacking axis_backing = AxisBacking::kAuto;
+  MatrixRepr axis_backing = MatrixRepr::kAuto;
   /// Byte budget of each document's subrelation cache
   /// (ppl/relation_cache.h): materialized interior subexpressions,
   /// shared by every engine and batch evaluating that document. Unlike

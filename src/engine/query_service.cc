@@ -308,13 +308,13 @@ QueryResult QueryService::RunJob(
         FinishMonadic(result, plan.shape, std::move(image).value());
         return result;
       }
-      Result<ppl::AnyMatrix> rel = engine.EvaluateAny(*pplbin);
+      Result<BoolMatrix> rel = engine.EvaluateAny(*pplbin);
       AccumulateEngineStats(engine.stats());
       if (!rel.ok()) {
         result.status = rel.status();
         return result;
       }
-      ppl::AnyMatrix m = std::move(rel).value();
+      BoolMatrix m = std::move(rel).value();
       if (m.is_dense()) {
         result.relation = std::move(m).TakeDense();
         break;

@@ -285,7 +285,7 @@ Status WriteDocumentSegment(const std::string& path, std::uint64_t document_id,
       // in-memory representation: the relation is a pure function of the
       // tree, and the interval builder emits it straight from the
       // pre-order index without touching O(n^2) bits.
-      TreeIo::EncodeIntervalMatrix(AxisIntervalMatrix(tree, axis), w);
+      TreeIo::EncodeSparseMatrix(AxisSparseMatrix(tree, axis), w);
     }
   }
 
@@ -351,8 +351,8 @@ Result<LoadedSegment> LoadDocumentSegment(const std::string& path) {
                                     "': axes section out of order");
           }
           prev = axis;
-          XPV_ASSIGN_OR_RETURN(IntervalMatrix m,
-                               TreeIo::DecodeIntervalMatrix(r));
+          XPV_ASSIGN_OR_RETURN(SparseBoolMatrix m,
+                               TreeIo::DecodeSparseMatrix(r));
           segment.axes.emplace_back(static_cast<Axis>(axis), std::move(m));
         }
         break;
@@ -379,23 +379,14 @@ Result<LoadedSegment> LoadDocumentSegment(const std::string& path) {
   return segment;
 }
 
-std::unique_ptr<const BoolMatrix> AxisMatrixForBacking(IntervalMatrix m,
-                                                       bool dense) {
+BoolMatrix AxisMatrixForBacking(SparseBoolMatrix m, bool dense) {
   if (dense) {
-    Result<BitMatrix> bits = BitMatrix::Create(m.size());
-    if (bits.ok()) {
-      for (std::size_t row = 0; row < m.size(); ++row) {
-        auto [begin, end] = m.RunsOf(row);
-        for (const IntervalRun* run = begin; run != end; ++run) {
-          bits->SetRowRange(row, run->begin, run->end);
-        }
-      }
-      return std::make_unique<DenseBoolMatrix>(std::move(bits).value());
-    }
-    // Above the dense ceiling: fall through to the succinct form (the
-    // cache would not have built dense here either).
+    Result<BitMatrix> bits = m.ToDense();
+    if (bits.ok()) return std::move(bits).value();
+    // Above the dense ceiling: keep the succinct form (the cache would
+    // not have built dense here either).
   }
-  return std::make_unique<IntervalMatrix>(std::move(m));
+  return m;
 }
 
 // ------------------------------------------------------------- manifest

@@ -100,7 +100,7 @@ struct LoadedSegment {
   SegmentMeta meta;
   Tree tree;
   /// Persisted axis relations in ascending Axis order (may be empty).
-  std::vector<std::pair<Axis, IntervalMatrix>> axes;
+  std::vector<std::pair<Axis, SparseBoolMatrix>> axes;
   /// Bytes of the segment file that were memory-mapped for the load
   /// (feeds the store's mmap_bytes counter).
   std::size_t mapped_bytes = 0;
@@ -124,10 +124,9 @@ Result<LoadedSegment> LoadDocumentSegment(const std::string& path);
 
 /// Converts a decoded axis relation into the representation a reloaded
 /// cache would have built itself: dense below the cache's auto ceiling
-/// (or when forced dense), interval runs otherwise -- so a reloaded
+/// (or when forced dense), run lists otherwise -- so a reloaded
 /// AxisCache is bit-for-bit the cache a fresh build would produce.
-std::unique_ptr<const BoolMatrix> AxisMatrixForBacking(IntervalMatrix m,
-                                                       bool dense);
+BoolMatrix AxisMatrixForBacking(SparseBoolMatrix m, bool dense);
 
 /// Snapshot directory manifest: the id set and the allocator watermark.
 struct SnapshotManifest {

@@ -12,17 +12,10 @@ BitMatrix AxisQuery::Evaluate(const Tree& t) const {
 
 Result<BitMatrix> AxisQuery::EvaluateCached(
     const std::shared_ptr<AxisCache>& cache) const {
-  const BoolMatrix& axis = cache->Matrix(axis_);
-  if (const BitMatrix* dense = axis.AsDense()) {
-    if (name_test_.empty()) return *dense;
-    return dense->MaskColumns(cache->Labels(name_test_));
-  }
   // HCL machinery is dense end-to-end; kNaryAnswer plans are refused
   // beyond BitMatrix::kMaxDenseNodes before reaching this leaf, and a
   // caller that slips through gets a job error, not a crash.
-  XPV_ASSIGN_OR_RETURN(BitMatrix m, axis.ToDense());
-  if (!name_test_.empty()) m.MaskColumnsInPlace(cache->Labels(name_test_));
-  return m;
+  return cache->DenseStep(axis_, name_test_);
 }
 
 std::string AxisQuery::ToString() const {

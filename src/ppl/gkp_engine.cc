@@ -117,7 +117,7 @@ Result<BitMatrix> GkpEngine::Relation(const PplBinExpr& p) {
   std::string key;
   if (rel_cache_ != nullptr) {
     key = RelationKey(p.ToString(), "gkp");
-    if (std::shared_ptr<const AnyMatrix> hit = rel_cache_->Get(key)) {
+    if (std::shared_ptr<const BoolMatrix> hit = rel_cache_->Get(key)) {
       ++subrel_hits_;
       return hit->dense();
     }
@@ -134,7 +134,7 @@ Result<BitMatrix> GkpEngine::Relation(const PplBinExpr& p) {
     out.OrIntoRow(u, ImagePositive(p, from));
   });
   if (rel_cache_ != nullptr) {
-    auto owned = std::make_shared<const AnyMatrix>(AnyMatrix(out));
+    auto owned = std::make_shared<const BoolMatrix>(BoolMatrix(out));
     rel_cache_->Put(key, std::move(owned));
   }
   return out;

@@ -10,54 +10,12 @@
 
 namespace xpv::ppl {
 
-// -------------------------------------------------------------- AnyMatrix
-
-std::size_t AnyMatrix::size() const {
-  return is_dense() ? dense().size() : sparse().size();
-}
-
-bool AnyMatrix::Get(std::size_t row, std::size_t col) const {
-  return is_dense() ? dense().Get(row, col) : sparse().Get(row, col);
-}
-
-std::size_t AnyMatrix::Count() const {
-  return is_dense() ? dense().Count() : sparse().Count();
-}
-
-std::size_t AnyMatrix::resident_bytes() const {
-  return is_dense() ? dense().resident_bytes() : sparse().resident_bytes();
-}
-
-BitVector AnyMatrix::ImageOf(const BitVector& rows) const {
-  return is_dense() ? dense().ImageOf(rows) : sparse().ImageOf(rows);
-}
-
-BitVector AnyMatrix::AndOfRows(const BitVector& rows) const {
-  return is_dense() ? dense().AndOfRows(rows) : sparse().AndOfRows(rows);
-}
-
-BitVector AnyMatrix::RowsContaining(const BitVector& cols) const {
-  return is_dense() ? dense().RowsContaining(cols)
-                    : sparse().RowsContaining(cols);
-}
-
-BitVector AnyMatrix::NonEmptyRows() const {
-  return is_dense() ? dense().NonEmptyRows() : sparse().NonEmptyRows();
-}
-
-Result<BitMatrix> AnyMatrix::ToDense() const {
-  if (is_dense()) return dense();
-  return sparse().BoolMatrix::ToDense();
-}
-
-// ----------------------------------------------------------- MatrixEngine
-
 BitMatrix MatrixEngine::Product(const BitMatrix& a, const BitMatrix& b) const {
   return mode_ == MultiplyMode::kBitPacked ? a.Multiply(b)
                                            : a.MultiplyNaive(b);
 }
 
-Result<AnyMatrix> MatrixEngine::StepLeaf(const PplBinExpr& p) {
+Result<BoolMatrix> MatrixEngine::StepLeaf(const PplBinExpr& p) {
   const bool sparse_leaf =
       repr_ == MatrixRepr::kSparse ||
       (repr_ == MatrixRepr::kAuto && cache_->interval_backed());
@@ -66,39 +24,33 @@ Result<AnyMatrix> MatrixEngine::StepLeaf(const PplBinExpr& p) {
     // posting set -- no densification at any tree size.
     XPV_ASSIGN_OR_RETURN(SparseBoolMatrix leaf,
                          cache_->SparseStep(p.axis, p.name_test, RunBudget()));
-    return AnyMatrix(std::move(leaf));
+    return BoolMatrix(std::move(leaf));
   }
-  const BoolMatrix& axis = cache_->Matrix(p.axis);
-  if (const BitMatrix* dense = axis.AsDense()) {
-    if (p.name_test.empty()) return AnyMatrix(*dense);
-    return AnyMatrix(dense->MaskColumns(cache_->Labels(p.name_test)));
-  }
-  // Dense mode on an interval-backed cache: expand the leaf, surfacing
+  // Dense mode on a run-list cache expands the leaf, surfacing
   // kResourceExhausted (a job error, not an abort) above the ceiling.
-  XPV_ASSIGN_OR_RETURN(BitMatrix m, axis.ToDense());
-  if (!p.name_test.empty()) m.MaskColumnsInPlace(cache_->Labels(p.name_test));
-  return AnyMatrix(std::move(m));
+  XPV_ASSIGN_OR_RETURN(BitMatrix leaf, cache_->DenseStep(p.axis, p.name_test));
+  return BoolMatrix(std::move(leaf));
 }
 
-AnyMatrix MatrixEngine::MaybeDensify(SparseBoolMatrix m) {
-  if (repr_ != MatrixRepr::kAuto) return AnyMatrix(std::move(m));
+BoolMatrix MatrixEngine::MaybeDensify(SparseBoolMatrix m) {
+  if (repr_ != MatrixRepr::kAuto) return BoolMatrix(std::move(m));
   const std::size_t n = m.size();
-  if (n > BitMatrix::kMaxDenseNodes) return AnyMatrix(std::move(m));
+  if (n > BitMatrix::kMaxDenseNodes) return BoolMatrix(std::move(m));
   // Density crossover: once the run list outweighs half the packed-bit
   // form, every further run-merge costs more than the word-parallel dense
   // kernels -- re-encode and continue dense.
   const std::size_t dense_bytes = ((n + 63) / 64) * n * sizeof(std::uint64_t);
-  if (m.resident_bytes() <= dense_bytes / 2) return AnyMatrix(std::move(m));
-  Result<BitMatrix> dense = m.BoolMatrix::ToDense();
+  if (m.resident_bytes() <= dense_bytes / 2) return BoolMatrix(std::move(m));
+  Result<BitMatrix> dense = m.ToDense();
   // Cannot fail: n is under the ceiling checked above.
   ++stats_.repr_crossovers;
-  return AnyMatrix(std::move(dense).value());
+  return BoolMatrix(std::move(dense).value());
 }
 
-Result<AnyMatrix> MatrixEngine::ComposeAny(AnyMatrix a, AnyMatrix b) {
+Result<BoolMatrix> MatrixEngine::ComposeAny(BoolMatrix a, BoolMatrix b) {
   if (a.is_dense() && b.is_dense()) {
     ++stats_.dense_products;
-    return AnyMatrix(Product(a.dense(), b.dense()));
+    return BoolMatrix(Product(a.dense(), b.dense()));
   }
   if (!a.is_dense() && !b.is_dense()) {
     ++stats_.sparse_products;
@@ -110,13 +62,13 @@ Result<AnyMatrix> MatrixEngine::ComposeAny(AnyMatrix a, AnyMatrix b) {
   // runs into dense rows; the output inherits the dense operand's size
   // class, which kAuto only creates under the ceiling.
   ++stats_.dense_products;
-  if (!a.is_dense()) return AnyMatrix(a.sparse().MultiplyDense(b.dense()));
-  return AnyMatrix(b.sparse().MultiplyDenseLeft(a.dense()));
+  if (!a.is_dense()) return BoolMatrix(a.sparse().MultiplyDense(b.dense()));
+  return BoolMatrix(b.sparse().MultiplyDenseLeft(a.dense()));
 }
 
-Result<AnyMatrix> MatrixEngine::UnionAny(AnyMatrix a, AnyMatrix b) {
+Result<BoolMatrix> MatrixEngine::UnionAny(BoolMatrix a, BoolMatrix b) {
   if (a.is_dense() && b.is_dense()) {
-    return AnyMatrix(a.dense().Or(b.dense()));
+    return BoolMatrix(a.dense().Or(b.dense()));
   }
   if (!a.is_dense() && !b.is_dense()) {
     XPV_ASSIGN_OR_RETURN(SparseBoolMatrix out,
@@ -127,20 +79,20 @@ Result<AnyMatrix> MatrixEngine::UnionAny(AnyMatrix a, AnyMatrix b) {
                                : std::move(b).TakeDense();
   const SparseBoolMatrix& add = a.is_dense() ? b.sparse() : a.sparse();
   add.OrInto(out);
-  return AnyMatrix(std::move(out));
+  return BoolMatrix(std::move(out));
 }
 
-Result<AnyMatrix> MatrixEngine::ComplementAny(AnyMatrix a) {
-  if (a.is_dense()) return AnyMatrix(a.dense().Complement());
+Result<BoolMatrix> MatrixEngine::ComplementAny(BoolMatrix a) {
+  if (a.is_dense()) return BoolMatrix(a.dense().Complement());
   // Complementing a sparse relation flips its density (gap inversion adds
   // at most one run per row, but the *population* explodes), so this is
   // where kAuto most often switches representation.
   return MaybeDensify(a.sparse().Complement());
 }
 
-AnyMatrix MatrixEngine::FilterAny(AnyMatrix a) {
-  if (a.is_dense()) return AnyMatrix(a.dense().FilterDiagonal());
-  return AnyMatrix(a.sparse().FilterDiagonal());
+BoolMatrix MatrixEngine::FilterAny(BoolMatrix a) {
+  if (a.is_dense()) return BoolMatrix(a.dense().FilterDiagonal());
+  return BoolMatrix(a.sparse().FilterDiagonal());
 }
 
 /// Per-EvaluateAny hash-consing state. Keys are subtree surface texts
@@ -153,7 +105,7 @@ struct MatrixEngine::EvalContext {
   /// Local memo: only subtree texts occurring more than once enter it,
   /// so a cache-disabled evaluation of a duplicate-free expression pays
   /// nothing beyond the key scan.
-  std::unordered_map<std::string, std::shared_ptr<const AnyMatrix>> local;
+  std::unordered_map<std::string, std::shared_ptr<const BoolMatrix>> local;
 
   void BuildKeys(const PplBinExpr& p) {
     switch (p.kind) {
@@ -175,13 +127,13 @@ struct MatrixEngine::EvalContext {
   }
 };
 
-Result<AnyMatrix> MatrixEngine::EvaluateAny(const PplBinExpr& p) {
+Result<BoolMatrix> MatrixEngine::EvaluateAny(const PplBinExpr& p) {
   EvalContext ctx;
   ctx.BuildKeys(p);
   return EvalNode(p, ctx);
 }
 
-Result<AnyMatrix> MatrixEngine::EvalNode(const PplBinExpr& p,
+Result<BoolMatrix> MatrixEngine::EvalNode(const PplBinExpr& p,
                                          EvalContext& ctx) {
   const std::string& text = ctx.keys.at(&p);
   // Hash-cons duplicated subtrees within this evaluation; consult the
@@ -194,38 +146,38 @@ Result<AnyMatrix> MatrixEngine::EvalNode(const PplBinExpr& p,
   std::string shared_key;
   if (local_memo) {
     auto it = ctx.local.find(text);
-    if (it != ctx.local.end()) return AnyMatrix(*it->second);
+    if (it != ctx.local.end()) return BoolMatrix(*it->second);
   }
   if (shared) {
     shared_key = RelationKey(text, MatrixReprName(repr_));
-    if (std::shared_ptr<const AnyMatrix> hit = rel_cache_->Get(shared_key)) {
+    if (std::shared_ptr<const BoolMatrix> hit = rel_cache_->Get(shared_key)) {
       ++stats_.subrel_hits;
       if (local_memo) ctx.local.emplace(text, hit);
-      return AnyMatrix(*hit);
+      return BoolMatrix(*hit);
     }
     ++stats_.subrel_misses;
   }
 
-  Result<AnyMatrix> result = [&]() -> Result<AnyMatrix> {
+  Result<BoolMatrix> result = [&]() -> Result<BoolMatrix> {
     switch (p.kind) {
       case PplBinKind::kStep:
         return StepLeaf(p);
       case PplBinKind::kCompose: {
-        XPV_ASSIGN_OR_RETURN(AnyMatrix a, EvalNode(*p.left, ctx));
-        XPV_ASSIGN_OR_RETURN(AnyMatrix b, EvalNode(*p.right, ctx));
+        XPV_ASSIGN_OR_RETURN(BoolMatrix a, EvalNode(*p.left, ctx));
+        XPV_ASSIGN_OR_RETURN(BoolMatrix b, EvalNode(*p.right, ctx));
         return ComposeAny(std::move(a), std::move(b));
       }
       case PplBinKind::kUnion: {
-        XPV_ASSIGN_OR_RETURN(AnyMatrix a, EvalNode(*p.left, ctx));
-        XPV_ASSIGN_OR_RETURN(AnyMatrix b, EvalNode(*p.right, ctx));
+        XPV_ASSIGN_OR_RETURN(BoolMatrix a, EvalNode(*p.left, ctx));
+        XPV_ASSIGN_OR_RETURN(BoolMatrix b, EvalNode(*p.right, ctx));
         return UnionAny(std::move(a), std::move(b));
       }
       case PplBinKind::kComplement: {
-        XPV_ASSIGN_OR_RETURN(AnyMatrix a, EvalNode(*p.left, ctx));
+        XPV_ASSIGN_OR_RETURN(BoolMatrix a, EvalNode(*p.left, ctx));
         return ComplementAny(std::move(a));
       }
       case PplBinKind::kFilter: {
-        XPV_ASSIGN_OR_RETURN(AnyMatrix a, EvalNode(*p.left, ctx));
+        XPV_ASSIGN_OR_RETURN(BoolMatrix a, EvalNode(*p.left, ctx));
         return FilterAny(std::move(a));
       }
     }
@@ -236,16 +188,16 @@ Result<AnyMatrix> MatrixEngine::EvalNode(const PplBinExpr& p,
   // Publish: one shared immutable copy feeds the local memo and the
   // cross-job cache; the caller gets a copy so later hits stay intact.
   auto owned =
-      std::make_shared<const AnyMatrix>(std::move(result).value());
+      std::make_shared<const BoolMatrix>(std::move(result).value());
   if (local_memo) ctx.local.emplace(text, owned);
   if (shared) rel_cache_->Put(shared_key, owned);
-  return AnyMatrix(*owned);
+  return BoolMatrix(*owned);
 }
 
 Result<BitMatrix> MatrixEngine::EvaluateDense(const PplBinExpr& p) {
-  XPV_ASSIGN_OR_RETURN(AnyMatrix m, EvaluateAny(p));
+  XPV_ASSIGN_OR_RETURN(BoolMatrix m, EvaluateAny(p));
   if (m.is_dense()) return std::move(m).TakeDense();
-  return m.ToDense();
+  return m.sparse().ToDense();
 }
 
 BitMatrix MatrixEngine::Evaluate(const PplBinExpr& p) {
@@ -303,7 +255,7 @@ Result<BitVector> MatrixEngine::Image(const PplBinExpr& p,
       // matrix -- only its, not the whole query's -- in whichever
       // representation the engine mode picks, so sparse/auto modes run
       // this beyond the dense ceiling too.
-      XPV_ASSIGN_OR_RETURN(AnyMatrix sub, EvaluateAny(*p.left));
+      XPV_ASSIGN_OR_RETURN(BoolMatrix sub, EvaluateAny(*p.left));
       BitVector out = sub.AndOfRows(from);
       out.Complement();
       return out;
@@ -358,7 +310,7 @@ Result<BitVector> MatrixEngine::Preimage(const PplBinExpr& p,
         out.Complement();
         return out;
       }
-      XPV_ASSIGN_OR_RETURN(AnyMatrix sub, EvaluateAny(*p.left));
+      XPV_ASSIGN_OR_RETURN(BoolMatrix sub, EvaluateAny(*p.left));
       BitVector out = sub.RowsContaining(to);
       out.Complement();
       return out;

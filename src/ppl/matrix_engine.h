@@ -10,17 +10,19 @@
 // operations (the same asymptotic bound; the paper notes the exponent can
 // be lowered to 2.376 with Coppersmith-Winograd).
 //
-// Representations. Each intermediate matrix is a tagged AnyMatrix holding
-// either a dense bit-packed BitMatrix or a CSR run-list SparseBoolMatrix
-// (common/sparse_matrix.h). The engine's MatrixRepr mode -- normally the
+// Representations. Each intermediate matrix is a BoolMatrix
+// (common/bool_matrix.h) holding either a dense bit-packed BitMatrix or a
+// CSR run-list SparseBoolMatrix. The engine's MatrixRepr mode -- normally the
 // planner's per-(query, tree, shape) crossover decision -- picks the leaf
 // representation and the product kernel per node:
 //
-//   kDense   every leaf densifies (fallibly: kResourceExhausted above
-//            BitMatrix::kMaxDenseNodes); dense x dense products.
-//   kSparse  masked step leaves come straight from the AxisCache's runs
-//            (no densification); SpGEMM-style run-merge products under a
-//            kSparseEvalByteBudget run budget. Works at any tree size.
+//   kDense   every leaf is AxisCache::DenseStep (fallibly:
+//            kResourceExhausted above BitMatrix::kMaxDenseNodes); dense x
+//            dense products.
+//   kSparse  leaves are AxisCache::SparseStep, straight from the cached
+//            runs (no densification); SpGEMM-style run-merge products
+//            under a kSparseEvalByteBudget run budget. Works at any tree
+//            size.
 //   kAuto    leaves follow the cache backing; products dispatch on the
 //            operand tags (all four kernel shapes); saturated sparse
 //            results re-encode dense when that is smaller and the tree is
@@ -31,10 +33,9 @@
 #include <cstdint>
 #include <memory>
 #include <string>
-#include <variant>
 
 #include "common/bit_matrix.h"
-#include "common/sparse_matrix.h"
+#include "common/bool_matrix.h"
 #include "common/status.h"
 #include "ppl/pplbin.h"
 #include "tree/axis_cache.h"
@@ -49,48 +50,8 @@ enum class MultiplyMode {
   kNaive,      // triple loop, one bit at a time (reference)
 };
 
-/// A Boolean relation in whichever representation the engine chose:
-/// dense bit-packed or CSR run-list. The monadic kernels (ImageOf,
-/// AndOfRows, RowsContaining) dispatch on the tag so set-level consumers
-/// never care which one they got.
-class AnyMatrix {
- public:
-  AnyMatrix() : m_(BitMatrix()) {}
-  // NOLINTNEXTLINE(google-explicit-constructor): tagged-union by design.
-  AnyMatrix(BitMatrix m) : m_(std::move(m)) {}
-  // NOLINTNEXTLINE(google-explicit-constructor)
-  AnyMatrix(SparseBoolMatrix m) : m_(std::move(m)) {}
-
-  bool is_dense() const { return std::holds_alternative<BitMatrix>(m_); }
-  std::size_t size() const;
-  /// "dense" or "sparse", for stats and test failure messages.
-  std::string_view repr_name() const { return is_dense() ? "dense" : "sparse"; }
-
-  const BitMatrix& dense() const { return std::get<BitMatrix>(m_); }
-  const SparseBoolMatrix& sparse() const {
-    return std::get<SparseBoolMatrix>(m_);
-  }
-  BitMatrix&& TakeDense() && { return std::get<BitMatrix>(std::move(m_)); }
-  SparseBoolMatrix&& TakeSparse() && {
-    return std::get<SparseBoolMatrix>(std::move(m_));
-  }
-
-  bool Get(std::size_t row, std::size_t col) const;
-  std::size_t Count() const;
-  std::size_t resident_bytes() const;
-
-  // Tag-dispatched monadic kernels (semantics as on BoolMatrix).
-  BitVector ImageOf(const BitVector& rows) const;
-  BitVector AndOfRows(const BitVector& rows) const;
-  BitVector RowsContaining(const BitVector& cols) const;
-  BitVector NonEmptyRows() const;
-
-  /// Dense copy; kResourceExhausted above BitMatrix::kMaxDenseNodes.
-  Result<BitMatrix> ToDense() const;
-
- private:
-  std::variant<BitMatrix, SparseBoolMatrix> m_;
-};
+/// Former name of the engine's result type, kept for existing callers.
+using AnyMatrix = BoolMatrix;
 
 /// Kernel counters for one engine's lifetime; QueryService aggregates
 /// them into ServiceStats. A "product" is one composition node; it counts
@@ -150,7 +111,7 @@ class MatrixEngine {
   /// Fails with kResourceExhausted when a dense-mode evaluation exceeds
   /// the dense ceiling or a sparse evaluation exceeds its run byte
   /// budget; never aborts the process.
-  Result<AnyMatrix> EvaluateAny(const PplBinExpr& p);
+  Result<BoolMatrix> EvaluateAny(const PplBinExpr& p);
 
   /// M^t_P densified. Same failure modes as EvaluateAny, plus the final
   /// dense conversion's ceiling.
@@ -207,17 +168,17 @@ class MatrixEngine {
   /// The recursive evaluation body behind EvaluateAny: local memo for
   /// duplicated subtrees, shared RelationCache consult for interior
   /// nodes, then the kernel dispatch below.
-  Result<AnyMatrix> EvalNode(const PplBinExpr& p, EvalContext& ctx);
+  Result<BoolMatrix> EvalNode(const PplBinExpr& p, EvalContext& ctx);
   /// Leaf M_{A::N} in the mode's representation (see header comment).
-  Result<AnyMatrix> StepLeaf(const PplBinExpr& p);
+  Result<BoolMatrix> StepLeaf(const PplBinExpr& p);
   /// Product kernel dispatch on the operand tags.
-  Result<AnyMatrix> ComposeAny(AnyMatrix a, AnyMatrix b);
-  Result<AnyMatrix> UnionAny(AnyMatrix a, AnyMatrix b);
-  Result<AnyMatrix> ComplementAny(AnyMatrix a);
-  AnyMatrix FilterAny(AnyMatrix a);
+  Result<BoolMatrix> ComposeAny(BoolMatrix a, BoolMatrix b);
+  Result<BoolMatrix> UnionAny(BoolMatrix a, BoolMatrix b);
+  Result<BoolMatrix> ComplementAny(BoolMatrix a);
+  BoolMatrix FilterAny(BoolMatrix a);
   /// kAuto only: re-encodes a sparse result densely when the tree is
   /// under the dense ceiling and the run list outweighs the packed bits.
-  AnyMatrix MaybeDensify(SparseBoolMatrix m);
+  BoolMatrix MaybeDensify(SparseBoolMatrix m);
 
   BitMatrix Product(const BitMatrix& a, const BitMatrix& b) const;
   /// Run budget for every sparse kernel of this evaluation.

@@ -15,14 +15,14 @@ std::string RelationKey(std::string_view canonical_text,
 }
 
 std::size_t RelationCache::EntryBytes(const std::string& key,
-                                      const AnyMatrix& m) {
+                                      const BoolMatrix& m) {
   // Key bytes twice (map key + LRU node) plus a flat estimate of the
   // hash-map node, list node, Entry, and shared_ptr control block.
   constexpr std::size_t kIndexOverhead = 160;
   return m.resident_bytes() + 2 * key.size() + kIndexOverhead;
 }
 
-std::shared_ptr<const AnyMatrix> RelationCache::Get(const std::string& key) {
+std::shared_ptr<const BoolMatrix> RelationCache::Get(const std::string& key) {
   MutexLock lock(mu_);
   auto it = entries_.find(key);
   if (it == entries_.end()) {
@@ -35,7 +35,7 @@ std::shared_ptr<const AnyMatrix> RelationCache::Get(const std::string& key) {
 }
 
 void RelationCache::Put(const std::string& key,
-                        std::shared_ptr<const AnyMatrix> value) {
+                        std::shared_ptr<const BoolMatrix> value) {
   if (value == nullptr) return;
   const std::size_t bytes = EntryBytes(key, *value);
   if (bytes > max_bytes_) return;  // would evict everything for nothing

@@ -10,7 +10,7 @@
 // engines consult the cache on *every* interior node without a
 // correctness argument beyond determinism.
 //
-// Values are shared_ptr<const AnyMatrix>. Eviction (strict LRU, driven by
+// Values are shared_ptr<const BoolMatrix>. Eviction (strict LRU, driven by
 // the byte budget) only drops the cache's reference: in-flight consumers
 // holding the shared_ptr keep the matrix alive until they finish, exactly
 // like the DocumentStore's retired AxisCaches. Entries are immutable, so
@@ -68,14 +68,14 @@ class RelationCache {
 
   /// The cached relation, or null on a miss. A hit moves the entry to
   /// the front of the LRU.
-  std::shared_ptr<const AnyMatrix> Get(const std::string& key)
+  std::shared_ptr<const BoolMatrix> Get(const std::string& key)
       XPV_EXCLUDES(mu_);
 
   /// Inserts (or refreshes) `value` under `key`, then evicts LRU-tail
   /// entries until the resident bytes fit the budget again. A value
   /// larger than the whole budget is not inserted (it would evict
   /// everything and then be evicted itself on the next insert).
-  void Put(const std::string& key, std::shared_ptr<const AnyMatrix> value)
+  void Put(const std::string& key, std::shared_ptr<const BoolMatrix> value)
       XPV_EXCLUDES(mu_);
 
   std::size_t max_bytes() const { return max_bytes_; }
@@ -83,7 +83,7 @@ class RelationCache {
 
  private:
   struct Entry {
-    std::shared_ptr<const AnyMatrix> value;
+    std::shared_ptr<const BoolMatrix> value;
     std::size_t bytes = 0;
     std::list<std::string>::iterator lru_it;
   };
@@ -91,7 +91,7 @@ class RelationCache {
   /// Accounted footprint of one entry: the matrix payload plus its key
   /// string (stored twice: map key and LRU node) and the per-entry index
   /// overhead, so the budget tracks real memory, not just payload.
-  static std::size_t EntryBytes(const std::string& key, const AnyMatrix& m);
+  static std::size_t EntryBytes(const std::string& key, const BoolMatrix& m);
 
   void EvictToBudgetLocked() XPV_REQUIRES(mu_);
 

@@ -136,7 +136,7 @@ BitMatrix AxisMatrix(const Tree& t, Axis axis) {
   return m;
 }
 
-IntervalMatrix AxisIntervalMatrix(const Tree& t, Axis axis) {
+SparseBoolMatrix AxisSparseMatrix(const Tree& t, Axis axis) {
   // Runs come straight from the pre-order numbering: a subtree is the
   // contiguous id range [v, v + SubtreeSize(v)), so descendant rows are
   // single runs, and the ancestor / sibling relations extend an already
@@ -250,11 +250,11 @@ IntervalMatrix AxisIntervalMatrix(const Tree& t, Axis axis) {
         }
         for (; src < offsets[ns + 1]; ++src) runs[w++] = runs[src];
       }
-      return IntervalMatrix(n, std::move(offsets), std::move(runs));
+      return SparseBoolMatrix(n, std::move(offsets), std::move(runs));
     }
   }
   offsets[n] = static_cast<std::uint32_t>(runs.size());
-  return IntervalMatrix(n, std::move(offsets), std::move(runs));
+  return SparseBoolMatrix(n, std::move(offsets), std::move(runs));
 }
 
 BitVector AxisImage(const Tree& t, Axis axis, const BitVector& from) {

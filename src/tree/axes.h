@@ -17,7 +17,7 @@
 #include <tuple>
 
 #include "common/bit_matrix.h"
-#include "common/bool_matrix.h"
+#include "common/sparse_matrix.h"
 #include "common/status.h"
 #include "tree/tree.h"
 
@@ -56,7 +56,7 @@ Result<Axis> ParseAxis(std::string_view name);
 Axis InverseAxis(Axis axis);
 
 /// The shape of A(t): mean cells and runs per row of the canonical run
-/// form AxisIntervalMatrix builds (Tree::AxisShapes()).
+/// form AxisSparseMatrix builds (Tree::AxisShapes()).
 inline const AxisShape& AxisShapeOf(const Tree& t, Axis axis) {
   return t.AxisShapes()[static_cast<std::size_t>(axis)];
 }
@@ -75,13 +75,13 @@ bool AxisHolds(const Tree& t, Axis axis, NodeId u, NodeId v);
 /// The full relation A(t) as a Boolean matrix (rows = start nodes).
 BitMatrix AxisMatrix(const Tree& t, Axis axis);
 
-/// The full relation A(t) as a succinct IntervalMatrix: per-row sorted run
+/// The full relation A(t) as a succinct SparseBoolMatrix: per-row sorted run
 /// lists built directly from the pre-order index intervals in
 /// O(|t| + total runs) time, never touching O(|t|^2) bits. Total runs are
 /// O(|t|) for self/child/parent/descendant and bounded by the ancestor
 /// chain length resp. non-leaf sibling count for the remaining axes --
 /// O(|t| log |t|) on balanced or random trees.
-IntervalMatrix AxisIntervalMatrix(const Tree& t, Axis axis);
+SparseBoolMatrix AxisSparseMatrix(const Tree& t, Axis axis);
 
 /// Computes S_A(N) = image of node set N under A(t) in O(|t|) time,
 /// relying on the pre-order numbering of built trees.

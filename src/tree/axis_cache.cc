@@ -8,13 +8,9 @@ namespace xpv {
 const BoolMatrix& AxisCache::Matrix(Axis axis) {
   const auto i = static_cast<std::size_t>(axis);
   std::call_once(axis_once_[i], [&] {
-    std::unique_ptr<const BoolMatrix> built;
-    if (interval_backed()) {
-      built = std::make_unique<IntervalMatrix>(AxisIntervalMatrix(tree_, axis));
-    } else {
-      built = std::make_unique<DenseBoolMatrix>(AxisMatrix(tree_, axis));
-    }
-    axis_storage_[i] = std::move(built);
+    axis_storage_[i] = std::make_unique<const BoolMatrix>(
+        interval_backed() ? BoolMatrix(AxisSparseMatrix(tree_, axis))
+                          : BoolMatrix(AxisMatrix(tree_, axis)));
     // Publish before counting: a reader that observes the incremented
     // counter (acquire) is guaranteed to also see the entry, so the
     // byte stat can never attribute bytes to a half-built slot.
@@ -24,12 +20,11 @@ const BoolMatrix& AxisCache::Matrix(Axis axis) {
   return *axis_[i].load(std::memory_order_acquire);
 }
 
-bool AxisCache::InstallPrebuilt(Axis axis,
-                                std::unique_ptr<const BoolMatrix> m) {
+bool AxisCache::InstallPrebuilt(Axis axis, BoolMatrix m) {
   const auto i = static_cast<std::size_t>(axis);
   bool installed = false;
   std::call_once(axis_once_[i], [&] {
-    axis_storage_[i] = std::move(m);
+    axis_storage_[i] = std::make_unique<const BoolMatrix>(std::move(m));
     axis_[i].store(axis_storage_[i].get(), std::memory_order_release);
     matrices_built_.fetch_add(1, std::memory_order_release);
     matrices_installed_.fetch_add(1, std::memory_order_release);
@@ -49,47 +44,70 @@ std::vector<Axis> AxisCache::BuiltAxes() const {
   return built;
 }
 
+namespace {
+
+bool IsWildcard(const std::string& name_test) {
+  return name_test.empty() || name_test == "*";
+}
+
+}  // namespace
+
 Result<SparseBoolMatrix> AxisCache::SparseStep(Axis axis,
                                                const std::string& name_test,
                                                std::size_t max_runs) {
   const BoolMatrix& m = Matrix(axis);
-  if (name_test.empty() || name_test == "*") {
-    return SparseBoolMatrix::FromBool(m, max_runs);
-  }
-  const BitVector& labels = Labels(name_test);
+  const BitVector* labels =
+      IsWildcard(name_test) ? nullptr : &Labels(name_test);
   const std::size_t n = m.size();
   SparseBoolMatrix::Builder builder(n, max_runs);
-  if (const IntervalMatrix* runs = m.AsInterval()) {
-    // Run-native masking: intersect each axis run with the label set's
-    // maximal set-bit runs (NextSet / NextUnset walk words, not bits).
-    for (std::size_t r = 0; r < n; ++r) {
-      auto [first, last] = runs->RunsOf(r);
-      for (auto it = first; it != last; ++it) {
-        std::size_t s = labels.Get(it->begin) ? it->begin
-                                              : labels.NextSet(it->begin);
-        while (s < it->end) {
-          const std::size_t e =
-              std::min<std::size_t>(it->end, labels.NextUnset(s));
-          if (!builder.Append(static_cast<std::uint32_t>(r),
-                              static_cast<std::uint32_t>(s),
-                              static_cast<std::uint32_t>(e))) {
-            return builder.Finish();  // budget overflow -> error status
-          }
-          s = labels.NextSet(e);
-        }
-      }
-    }
-  } else {
+  if (m.is_dense()) {
     BitVector scratch;
     for (std::size_t r = 0; r < n; ++r) {
-      m.RowInto(r, scratch);
-      scratch.AndWith(labels);
+      m.dense().CopyRowInto(r, scratch);
+      if (labels != nullptr) scratch.AndWith(*labels);
       if (!builder.AppendBits(static_cast<std::uint32_t>(r), scratch)) {
-        return builder.Finish();
+        return builder.Finish();  // budget overflow -> error status
+      }
+    }
+    return builder.Finish();
+  }
+  // Run-native: an unmasked step keeps every axis run; a masked one
+  // intersects each run with the label set's maximal set-bit runs
+  // (NextSet / NextUnset walk words, not bits).
+  for (std::size_t r = 0; r < n; ++r) {
+    const auto row = static_cast<std::uint32_t>(r);
+    auto [first, last] = m.sparse().RunsOf(r);
+    for (auto it = first; it != last; ++it) {
+      if (labels == nullptr) {
+        if (!builder.Append(row, it->begin, it->end)) return builder.Finish();
+        continue;
+      }
+      std::size_t s = labels->Get(it->begin) ? it->begin
+                                             : labels->NextSet(it->begin);
+      while (s < it->end) {
+        const std::size_t e =
+            std::min<std::size_t>(it->end, labels->NextUnset(s));
+        if (!builder.Append(row, static_cast<std::uint32_t>(s),
+                            static_cast<std::uint32_t>(e))) {
+          return builder.Finish();
+        }
+        s = labels->NextSet(e);
       }
     }
   }
   return builder.Finish();
+}
+
+Result<BitMatrix> AxisCache::DenseStep(Axis axis,
+                                       const std::string& name_test) {
+  const BoolMatrix& m = Matrix(axis);
+  if (m.is_dense()) {
+    if (IsWildcard(name_test)) return m.dense();
+    return m.dense().MaskColumns(Labels(name_test));
+  }
+  XPV_ASSIGN_OR_RETURN(BitMatrix out, m.sparse().ToDense());
+  if (!IsWildcard(name_test)) out.MaskColumnsInPlace(Labels(name_test));
+  return out;
 }
 
 const BitVector& AxisCache::Labels(const std::string& name_test) {

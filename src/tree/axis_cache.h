@@ -9,9 +9,10 @@
 // and share the result.
 //
 // Each cached relation is a BoolMatrix (common/bool_matrix.h): dense on
-// small trees, interval-backed on large ones (or forced either way by the
-// AxisBacking policy), so a 1M-node document costs O(n log n) bits of
-// axis state instead of the dense O(n^2).
+// small trees, run lists on large ones (or forced either way by the
+// MatrixRepr policy), so a 1M-node document costs O(n log n) bits of
+// axis state instead of the dense O(n^2). Evaluators read a masked step
+// M_{A::N} through DenseStep or SparseStep, never by hand.
 //
 // Thread safety: Matrix() uses one std::once_flag per axis and publishes
 // the built relation with a release store into an atomic slot; Labels() a
@@ -35,33 +36,25 @@
 #include "common/mutex.h"
 #include "common/thread_annotations.h"
 #include "common/bool_matrix.h"
-#include "common/sparse_matrix.h"
 #include "common/status.h"
 #include "tree/axes.h"
 #include "tree/tree.h"
 
 namespace xpv {
 
-/// Which representation AxisCache::Matrix() builds. kAuto picks dense on
-/// trees up to kAutoDenseMaxNodes (a row is a handful of words there and
-/// the word-parallel kernels win) and interval runs beyond.
-enum class AxisBacking {
-  kAuto,
-  kDense,
-  kInterval,
-};
-
 /// Lazily materialized, thread-safe per-tree cache of axis relations and
 /// LabelSet() results. The referenced tree must outlive the cache.
 class AxisCache {
  public:
-  /// kAuto switches from dense to interval backing above this node count:
+  /// The `repr` policy picks what Matrix() builds. kAuto builds dense
+  /// relations on trees up to this node count (a row is a handful of
+  /// words there and the word-parallel kernels win) and run lists beyond:
   /// at 4096 nodes the 7 dense relations cost 7 * 2 MiB, past which the
   /// O(n^2) bits dominate every other per-document cost.
   static constexpr std::size_t kAutoDenseMaxNodes = 4096;
 
-  explicit AxisCache(const Tree& tree, AxisBacking backing = AxisBacking::kAuto)
-      : tree_(tree), backing_(backing) {
+  explicit AxisCache(const Tree& tree, MatrixRepr repr = MatrixRepr::kAuto)
+      : tree_(tree), repr_(repr) {
     for (auto& slot : axis_) slot.store(nullptr, std::memory_order_relaxed);
   }
 
@@ -69,12 +62,11 @@ class AxisCache {
   AxisCache& operator=(const AxisCache&) = delete;
 
   const Tree& tree() const { return tree_; }
-  AxisBacking backing() const { return backing_; }
-  /// True iff Matrix() builds IntervalMatrix entries for this tree.
+  MatrixRepr repr() const { return repr_; }
+  /// True iff Matrix() builds run-list (SparseBoolMatrix) entries.
   bool interval_backed() const {
-    return backing_ == AxisBacking::kInterval ||
-           (backing_ == AxisBacking::kAuto &&
-            tree_.size() > kAutoDenseMaxNodes);
+    return repr_ == MatrixRepr::kSparse ||
+           (repr_ == MatrixRepr::kAuto && tree_.size() > kAutoDenseMaxNodes);
   }
 
   /// A(t) for the given axis, computed on first use.
@@ -87,7 +79,7 @@ class AxisCache {
   /// published entry stays authoritative). The matrix must have the
   /// tree's dimension; installed entries count toward matrices_built()
   /// and, separately, matrices_installed().
-  bool InstallPrebuilt(Axis axis, std::unique_ptr<const BoolMatrix> m);
+  bool InstallPrebuilt(Axis axis, BoolMatrix m);
 
   /// Axes whose relation is materialized right now, in kAllAxes order
   /// (the snapshot save path serializes exactly these).
@@ -109,13 +101,19 @@ class AxisCache {
 
   /// The masked step relation M_{axis::name_test} as a CSR run list,
   /// built directly from the cached axis relation's rows intersected with
-  /// the label posting set -- run-native on interval backing, so no dense
+  /// the label posting set -- run-native on run-list backing, so no dense
   /// |t| x |t| materialization happens at any tree size. Uncached (the
   /// result is query-specific, unlike the 7 axis relations); fails with
   /// kResourceExhausted when the run list would exceed `max_runs` (0 =
   /// unbounded).
   Result<SparseBoolMatrix> SparseStep(Axis axis, const std::string& name_test,
                                       std::size_t max_runs = 0);
+  /// The same masked step as a dense matrix, for the evaluators that are
+  /// dense end-to-end (and the matrix engine's dense leaves): a copy of a
+  /// dense axis entry, masked by the label set, or a run-list entry
+  /// expanded -- which fails with kResourceExhausted above
+  /// BitMatrix::kMaxDenseNodes (a job error, not an abort).
+  Result<BitMatrix> DenseStep(Axis axis, const std::string& name_test);
 
   /// Number of axis matrices materialized so far (monotone; at most 7).
   /// Lets callers -- and the DocumentStore reuse tests -- observe whether a
@@ -157,7 +155,7 @@ class AxisCache {
 
  private:
   const Tree& tree_;
-  const AxisBacking backing_;
+  const MatrixRepr repr_;
   std::atomic<std::size_t> matrices_built_{0};
   std::atomic<std::size_t> matrices_installed_{0};
   std::atomic<std::size_t> label_sets_built_{0};

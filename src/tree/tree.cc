@@ -172,7 +172,7 @@ const TargetStats& Tree::Targets() const {
 }
 
 void Tree::ComputeRowShapes(RowShapes* cells, RowShapes* runs) const {
-  // Each recurrence mirrors how AxisIntervalMatrix (tree/axes.cc) lays
+  // Each recurrence mirrors how AxisSparseMatrix (tree/axes.cc) lays
   // out the canonical runs of a row, so the totals are exact. Only array
   // reads, no pointer chasing: on a corrupt-but-range-checked snapshot
   // the sweeps stay bounded and merely yield wrong statistics.

@@ -44,7 +44,7 @@ inline constexpr NodeId kNoNode = static_cast<NodeId>(-1);
 inline constexpr LabelId kNoLabel = static_cast<LabelId>(-1);
 
 /// Shape of a set of rows of an axis relation in its canonical run-list
-/// form (tree/axes.h AxisIntervalMatrix: each row's cells as maximal runs
+/// form (tree/axes.h AxisSparseMatrix: each row's cells as maximal runs
 /// of consecutive pre-order ids): mean set cells and mean runs per row.
 /// For Tree::AxisShapes() the rows are all of A(t), so these are the
 /// relation's total cells and runs divided by |t|, exactly.

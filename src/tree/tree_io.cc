@@ -234,7 +234,7 @@ Result<Tree> TreeIo::DecodeTree(ByteReader& r) {
 
 // -------------------------------------------------------------- interval
 
-void TreeIo::EncodeIntervalMatrix(const IntervalMatrix& m, ByteWriter& w) {
+void TreeIo::EncodeSparseMatrix(const SparseBoolMatrix& m, ByteWriter& w) {
   w.U64(m.size());
   w.U64(m.num_runs());
   std::vector<std::uint32_t> flat;
@@ -257,7 +257,7 @@ void TreeIo::EncodeIntervalMatrix(const IntervalMatrix& m, ByteWriter& w) {
   w.U32Array(flat);
 }
 
-Result<IntervalMatrix> TreeIo::DecodeIntervalMatrix(ByteReader& r) {
+Result<SparseBoolMatrix> TreeIo::DecodeSparseMatrix(ByteReader& r) {
   XPV_ASSIGN_OR_RETURN(const std::uint64_t n64, r.U64());
   XPV_ASSIGN_OR_RETURN(const std::uint64_t runs64, r.U64());
   if (n64 > kMaxNodes || runs64 > kMaxNodes) {
@@ -297,7 +297,7 @@ Result<IntervalMatrix> TreeIo::DecodeIntervalMatrix(ByteReader& r) {
       first = false;
     }
   }
-  return IntervalMatrix(n, std::move(offsets), std::move(runs));
+  return SparseBoolMatrix(n, std::move(offsets), std::move(runs));
 }
 
 }  // namespace xpv

@@ -25,7 +25,7 @@
 #include <string>
 #include <vector>
 
-#include "common/bool_matrix.h"
+#include "common/sparse_matrix.h"
 #include "common/status.h"
 #include "tree/tree.h"
 
@@ -80,7 +80,7 @@ class ByteReader {
   std::size_t pos_ = 0;
 };
 
-/// Codec for Tree and IntervalMatrix payloads. Stateless; the class
+/// Codec for Tree and SparseBoolMatrix payloads. Stateless; the class
 /// exists only to be befriended by Tree so decoding can reconstitute the
 /// private index arrays directly.
 class TreeIo {
@@ -92,11 +92,11 @@ class TreeIo {
   /// coverage) and fails with kDataLoss on any violation.
   static Result<Tree> DecodeTree(ByteReader& r);
 
-  /// Serializes the CSR run list of an interval-backed axis relation.
-  static void EncodeIntervalMatrix(const IntervalMatrix& m, ByteWriter& w);
+  /// Serializes the CSR run list of a relation (a persisted axis).
+  static void EncodeSparseMatrix(const SparseBoolMatrix& m, ByteWriter& w);
   /// Decodes a CSR run list; validates offsets are nondecreasing and runs
   /// are sorted, disjoint, non-adjacent, and within [0, n).
-  static Result<IntervalMatrix> DecodeIntervalMatrix(ByteReader& r);
+  static Result<SparseBoolMatrix> DecodeSparseMatrix(ByteReader& r);
 
   /// Hard ceiling on the decoded node count (and run count), so a
   /// corrupted size field cannot trigger an absurd allocation before

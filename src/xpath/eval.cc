@@ -13,18 +13,10 @@ Result<BitMatrix> DirectEvaluator::TryEvalPath(const PathExpr& p,
   switch (p.kind) {
     case PathKind::kStep: {
       // [[A::N]] = {(v1,v2) in A(t) | v2 in lab_N(t)}.
-      const BoolMatrix& axis = cache_->Matrix(p.axis);
-      if (const BitMatrix* dense = axis.AsDense()) {
-        if (p.name_test.empty()) return *dense;
-        return dense->MaskColumns(cache_->Labels(p.name_test));
-      }
       // This evaluator is inherently dense (every node materializes a
-      // |t| x |t| matrix), so expand an interval-backed axis leaf; above
-      // the dense ceiling that fails with kResourceExhausted, which
-      // serving callers report as a job error.
-      XPV_ASSIGN_OR_RETURN(BitMatrix m, axis.ToDense());
-      if (!p.name_test.empty()) m.MaskColumnsInPlace(cache_->Labels(p.name_test));
-      return m;
+      // |t| x |t| matrix); above the dense ceiling the leaf fails with
+      // kResourceExhausted, which serving callers report as a job error.
+      return cache_->DenseStep(p.axis, p.name_test);
     }
     case PathKind::kDot:
       // [[.]] = {(v,v)}.

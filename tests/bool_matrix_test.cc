@@ -1,5 +1,5 @@
-// Differential suite for the pluggable axis-relation representations
-// (common/bool_matrix.h): the succinct IntervalMatrix must agree
+// Differential suite for the two representations of one relation type
+// (common/bool_matrix.h): the run-list SparseBoolMatrix must agree
 // bit-for-bit with the dense BitMatrix -- and with the walk-based
 // naive::* oracles -- for every axis, every kernel, every engine
 // (MatrixEngine, DirectEvaluator, HCL leaves, GKP), every result shape
@@ -31,31 +31,15 @@
 #include "tree/generators.h"
 #include "tree/naive_reference.h"
 #include "xpath/eval.h"
+#include "test_generators.h"
 
 namespace xpv {
 namespace {
 
 std::vector<Tree> Corpus(std::uint64_t seed) {
-  Rng rng(seed);
-  std::vector<Tree> corpus;
-  for (std::size_t nodes : {1u, 2u, 13u, 64u, 65u, 130u}) {
-    RandomTreeOptions opts;
-    opts.num_nodes = nodes;
-    opts.alphabet_size = 1 + rng.Below(4);
-    corpus.push_back(RandomTree(rng, opts));
-  }
-  corpus.push_back(PathTree(67));
-  corpus.push_back(StarTree(66));
-  corpus.push_back(PerfectBinaryTree(5));
-  return corpus;
-}
-
-BitVector RandomNodeSet(Rng& rng, std::size_t n, std::size_t density_pct) {
-  BitVector v(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    if (rng.Below(100) < density_pct) v.Set(i);
-  }
-  return v;
+  return xpv::Corpus(seed, {.random_sizes = {1, 2, 13, 64, 65, 130},
+                            .shape_nodes = 66,
+                            .perfect_height = 5});
 }
 
 class BoolMatrixPropertyTest : public ::testing::TestWithParam<std::uint64_t> {
@@ -63,10 +47,10 @@ class BoolMatrixPropertyTest : public ::testing::TestWithParam<std::uint64_t> {
 
 // ------------------------------------------- representation equivalence
 
-TEST_P(BoolMatrixPropertyTest, IntervalMatrixMatchesNaiveOracle) {
+TEST_P(BoolMatrixPropertyTest, RunListAxisMatchesNaiveOracle) {
   for (const Tree& t : Corpus(GetParam())) {
     for (Axis axis : kAllAxes) {
-      const IntervalMatrix m = AxisIntervalMatrix(t, axis);
+      const SparseBoolMatrix m = AxisSparseMatrix(t, axis);
       const BitMatrix oracle = naive::AxisMatrix(t, axis);
       ASSERT_EQ(m.size(), t.size());
       Result<BitMatrix> dense = m.ToDense();
@@ -91,35 +75,38 @@ TEST_P(BoolMatrixPropertyTest, KernelsMatchDenseOnEveryAxis) {
   for (const Tree& t : Corpus(GetParam())) {
     const std::size_t n = t.size();
     for (Axis axis : kAllAxes) {
-      const IntervalMatrix interval = AxisIntervalMatrix(t, axis);
-      const DenseBoolMatrix dense(AxisMatrix(t, axis));
-      EXPECT_EQ(interval.NonEmptyRows(), dense.NonEmptyRows());
+      // Both through the one BoolMatrix type, so its dispatch is what
+      // runs.
+      const BoolMatrix runs = AxisSparseMatrix(t, axis);
+      const BoolMatrix dense = AxisMatrix(t, axis);
+      ASSERT_FALSE(runs.is_dense());
+      ASSERT_TRUE(dense.is_dense());
+      EXPECT_EQ(runs.size(), dense.size());
+      EXPECT_EQ(runs.Count(), dense.Count()) << AxisName(axis);
+      EXPECT_EQ(runs.ToDense().value(), dense.ToDense().value())
+          << AxisName(axis);
+      EXPECT_EQ(runs.NonEmptyRows(), dense.NonEmptyRows());
       for (std::size_t probe = 0; probe < 16; ++probe) {
         const auto r = static_cast<std::size_t>(rng.Below(n));
         const auto c = static_cast<std::size_t>(rng.Below(n));
-        EXPECT_EQ(interval.Get(r, c), dense.Get(r, c))
+        EXPECT_EQ(runs.Get(r, c), dense.Get(r, c))
             << AxisName(axis) << " (" << r << "," << c << ")";
       }
       BitVector scratch;  // pooled across rows on purpose
-      std::vector<std::uint32_t> some_rows;
+      BitVector dense_row;
       for (NodeId v = 0; v < n; ++v) {
-        interval.RowInto(v, scratch);
-        EXPECT_EQ(scratch, dense.Row(v)) << AxisName(axis) << " row " << v;
-        if (v % 3 == 0) some_rows.push_back(v);
-      }
-      const auto batch_i = interval.Rows(some_rows);
-      const auto batch_d = dense.Rows(some_rows);
-      ASSERT_EQ(batch_i.size(), batch_d.size());
-      for (std::size_t i = 0; i < batch_i.size(); ++i) {
-        EXPECT_EQ(batch_i[i], batch_d[i]);
+        runs.RowInto(v, scratch);
+        dense.RowInto(v, dense_row);
+        EXPECT_EQ(scratch, dense_row) << AxisName(axis) << " row " << v;
+        EXPECT_EQ(scratch, dense.dense().Row(v)) << AxisName(axis);
       }
       for (std::size_t density : {0u, 3u, 40u, 100u}) {
         const BitVector sel = RandomNodeSet(rng, n, density);
-        EXPECT_EQ(interval.ImageOf(sel), dense.ImageOf(sel))
+        EXPECT_EQ(runs.ImageOf(sel), dense.ImageOf(sel))
             << AxisName(axis) << " density " << density;
-        EXPECT_EQ(interval.AndOfRows(sel), dense.AndOfRows(sel))
+        EXPECT_EQ(runs.AndOfRows(sel), dense.AndOfRows(sel))
             << AxisName(axis) << " density " << density;
-        EXPECT_EQ(interval.RowsContaining(sel), dense.RowsContaining(sel))
+        EXPECT_EQ(runs.RowsContaining(sel), dense.RowsContaining(sel))
             << AxisName(axis) << " density " << density;
       }
     }
@@ -154,11 +141,11 @@ TEST(DenseCeilingTest, CreateRefusesOversizedDimensions) {
   Result<BitMatrix> huge = BitMatrix::Create(BitMatrix::kMaxDenseNodes + 1);
   ASSERT_FALSE(huge.ok());
   EXPECT_EQ(huge.status().code(), StatusCode::kResourceExhausted);
-  // ToDense on an interval matrix of an oversized tree fails the same way
+  // ToDense on a run-list matrix of an oversized tree fails the same way
   // instead of attempting the O(n^2)-bit allocation.
   Tree big = PathTree(BitMatrix::kMaxDenseNodes + 2);
   Result<BitMatrix> expanded =
-      AxisIntervalMatrix(big, Axis::kDescendant).ToDense();
+      AxisSparseMatrix(big, Axis::kDescendant).ToDense();
   ASSERT_FALSE(expanded.ok());
   EXPECT_EQ(expanded.status().code(), StatusCode::kResourceExhausted);
 }
@@ -237,39 +224,18 @@ TEST(DenseCeilingTest, ServiceCrossesOverToSparseOnOversizedTrees) {
 
 // ------------------------------------------- engine differentials (forced)
 
-ppl::PplBinPtr RandomPplBin(Rng& rng, int depth) {
-  if (depth <= 0 || rng.Chance(1, 3)) {
-    if (rng.Chance(1, 5)) return ppl::PplBinExpr::Self();
-    return ppl::PplBinExpr::Step(
-        kAllAxes[rng.Below(kAllAxes.size())],
-        rng.Chance(1, 3) ? "*" : GeneratorLabel(rng.Below(3)));
-  }
-  switch (rng.Below(4u)) {
-    case 0:
-      return ppl::PplBinExpr::Compose(RandomPplBin(rng, depth - 1),
-                                      RandomPplBin(rng, depth - 1));
-    case 1:
-      return ppl::PplBinExpr::Union(RandomPplBin(rng, depth - 1),
-                                    RandomPplBin(rng, depth - 1));
-    case 2:
-      return ppl::PplBinExpr::Filter(RandomPplBin(rng, depth - 1));
-    default:
-      return ppl::PplBinExpr::Complement(RandomPplBin(rng, depth - 1));
-  }
-}
-
 TEST_P(BoolMatrixPropertyTest, MatrixEngineAgreesAcrossBackings) {
   Rng rng(GetParam() * 31 + 1);
   for (const Tree& t : Corpus(GetParam())) {
-    auto dense_cache = std::make_shared<AxisCache>(t, AxisBacking::kDense);
+    auto dense_cache = std::make_shared<AxisCache>(t, MatrixRepr::kDense);
     auto interval_cache =
-        std::make_shared<AxisCache>(t, AxisBacking::kInterval);
+        std::make_shared<AxisCache>(t, MatrixRepr::kSparse);
     ASSERT_FALSE(dense_cache->interval_backed());
     ASSERT_TRUE(interval_cache->interval_backed());
     ppl::MatrixEngine dense_engine(dense_cache);
     ppl::MatrixEngine interval_engine(interval_cache);
     for (int trial = 0; trial < 8; ++trial) {
-      ppl::PplBinPtr p = RandomPplBin(rng, 3);
+      ppl::PplBinPtr p = RandomPplBin(rng, 3, /*allow_complement=*/true);
       EXPECT_EQ(dense_engine.Evaluate(*p), interval_engine.Evaluate(*p))
           << p->ToString() << "\ntree: " << t.ToTerm();
       EXPECT_EQ(dense_engine.EvaluateFromRoot(*p).value(),
@@ -312,14 +278,14 @@ TEST_P(BoolMatrixPropertyTest, MatrixEngineAgreesAcrossBackings) {
 TEST_P(BoolMatrixPropertyTest, DirectHclAndGkpAgreeAcrossBackings) {
   Rng rng(GetParam() * 67 + 2);
   for (const Tree& t : Corpus(GetParam())) {
-    auto dense_cache = std::make_shared<AxisCache>(t, AxisBacking::kDense);
+    auto dense_cache = std::make_shared<AxisCache>(t, MatrixRepr::kDense);
     auto interval_cache =
-        std::make_shared<AxisCache>(t, AxisBacking::kInterval);
+        std::make_shared<AxisCache>(t, MatrixRepr::kSparse);
     // DirectEvaluator (Fig. 2 semantics).
     xpath::DirectEvaluator dense_eval(dense_cache);
     xpath::DirectEvaluator interval_eval(interval_cache);
     for (int trial = 0; trial < 4; ++trial) {
-      ppl::PplBinPtr p = RandomPplBin(rng, 2);
+      ppl::PplBinPtr p = RandomPplBin(rng, 2, /*allow_complement=*/true);
       EXPECT_EQ(dense_eval.EvalPath(*ppl::ToXPath(*p), {}),
                 interval_eval.EvalPath(*ppl::ToXPath(*p), {}))
           << p->ToString();
@@ -350,7 +316,7 @@ TEST_P(BoolMatrixPropertyTest, DirectHclAndGkpAgreeAcrossBackings) {
 TEST_P(BoolMatrixPropertyTest, ServiceShapesAgreeAcrossBackingsAndThreads) {
   for (std::size_t threads : {1u, 2u, 8u}) {
     std::vector<std::vector<engine::QueryResult>> per_backing;
-    for (AxisBacking backing : {AxisBacking::kDense, AxisBacking::kInterval}) {
+    for (MatrixRepr backing : {MatrixRepr::kDense, MatrixRepr::kSparse}) {
       engine::DocumentStoreOptions store_options;
       store_options.axis_backing = backing;
       engine::DocumentStore store(store_options);
@@ -403,14 +369,13 @@ TEST(AxisCacheBytesTest, ResidentBytesMatchesChosenRepresentation) {
   opts.num_nodes = 300;
   opts.alphabet_size = 3;
   Tree t = RandomTree(rng, opts);
-  for (AxisBacking backing : {AxisBacking::kDense, AxisBacking::kInterval}) {
+  for (MatrixRepr backing : {MatrixRepr::kDense, MatrixRepr::kSparse}) {
     AxisCache cache(t, backing);
     EXPECT_EQ(cache.approx_resident_bytes(), 0u);
     std::size_t expected = 0;
     for (Axis axis : kAllAxes) {
       const BoolMatrix& m = cache.Matrix(axis);
-      EXPECT_EQ(m.name(),
-                backing == AxisBacking::kDense ? "dense" : "interval");
+      EXPECT_EQ(m.is_dense(), backing == MatrixRepr::kDense);
       expected += m.resident_bytes();
     }
     // Within 10% of the chosen representation's true footprint (labels not
@@ -428,8 +393,8 @@ TEST(AxisCacheBytesTest, ResidentBytesMatchesChosenRepresentation) {
   }
   // The dense and interval footprints must actually differ (the old stat
   // reported the dense formula for both).
-  AxisCache dense(t, AxisBacking::kDense);
-  AxisCache interval(t, AxisBacking::kInterval);
+  AxisCache dense(t, MatrixRepr::kDense);
+  AxisCache interval(t, MatrixRepr::kSparse);
   for (Axis axis : kAllAxes) {
     dense.Matrix(axis);
     interval.Matrix(axis);
@@ -443,8 +408,8 @@ TEST(AxisCacheBytesTest, StatNeverReadsHalfBuiltState) {
   opts.num_nodes = 600;
   Tree t = RandomTree(rng, opts);
   for (int round = 0; round < 4; ++round) {
-    AxisCache cache(t, round % 2 == 0 ? AxisBacking::kDense
-                                      : AxisBacking::kInterval);
+    AxisCache cache(t, round % 2 == 0 ? MatrixRepr::kDense
+                                      : MatrixRepr::kSparse);
     std::vector<std::thread> workers;
     // Builders hammer all 7 axes concurrently...
     for (int w = 0; w < 4; ++w) {

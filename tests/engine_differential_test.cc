@@ -19,41 +19,10 @@
 #include "tree/generators.h"
 #include "xpath/eval.h"
 #include "xpath/parser.h"
+#include "test_generators.h"
 
 namespace xpv {
 namespace {
-
-ppl::PplBinPtr RandomPplBin(Rng& rng, int depth, bool allow_complement) {
-  if (depth <= 0 || rng.Chance(1, 3)) {
-    if (rng.Chance(1, 5)) return ppl::PplBinExpr::Self();
-    return ppl::PplBinExpr::Step(
-        kAllAxes[rng.Below(kAllAxes.size())],
-        rng.Chance(1, 3) ? "*" : GeneratorLabel(rng.Below(3)));
-  }
-  switch (rng.Below(allow_complement ? 4u : 3u)) {
-    case 0:
-      return ppl::PplBinExpr::Compose(
-          RandomPplBin(rng, depth - 1, allow_complement),
-          RandomPplBin(rng, depth - 1, allow_complement));
-    case 1:
-      return ppl::PplBinExpr::Union(
-          RandomPplBin(rng, depth - 1, allow_complement),
-          RandomPplBin(rng, depth - 1, allow_complement));
-    case 2:
-      return ppl::PplBinExpr::Filter(
-          RandomPplBin(rng, depth - 1, allow_complement));
-    default:
-      return ppl::PplBinExpr::Complement(
-          RandomPplBin(rng, depth - 1, allow_complement));
-  }
-}
-
-Tree MakeRandomTree(Rng& rng) {
-  RandomTreeOptions opts;
-  opts.num_nodes = 4 + rng.Below(28);
-  opts.alphabet_size = 3;
-  return RandomTree(rng, opts);
-}
 
 /// Ground truth: the Fig. 2 denotational semantics on the Core XPath 2.0
 /// image of the PPLbin expression.

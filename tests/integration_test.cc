@@ -18,6 +18,7 @@
 #include "xpath/eval.h"
 #include "xpath/fragment.h"
 #include "xpath/parser.h"
+#include "test_generators.h"
 
 namespace xpv {
 namespace {
@@ -111,48 +112,6 @@ INSTANTIATE_TEST_SUITE_P(
 // Random PPL expressions: generate HCL-(L)-style queries with disjoint
 // variable partitions, translate into PPL via Prop. 5, run both pipelines.
 class PipelineRandomTest : public ::testing::TestWithParam<std::uint64_t> {};
-
-xpath::PathPtr RandomPpl(Rng& rng, std::vector<std::string> available,
-                         int depth) {
-  using xpath::PathExpr;
-  using xpath::TestExpr;
-  if (depth <= 0 || rng.Chance(1, 4)) {
-    if (!available.empty() && rng.Chance(1, 2)) {
-      // .[. is $x] or $x
-      const std::string& var = available[rng.Below(available.size())];
-      if (rng.Chance(1, 2)) return PathExpr::Var(var);
-      return PathExpr::Filter(
-          PathExpr::Dot(),
-          TestExpr::Is(xpath::NodeRef::Dot(), xpath::NodeRef::Var(var)));
-    }
-    if (rng.Chance(1, 6)) return PathExpr::Dot();
-    return PathExpr::Step(kAllAxes[rng.Below(kAllAxes.size())],
-                          rng.Chance(1, 3) ? "*"
-                                           : GeneratorLabel(rng.Below(3)));
-  }
-  switch (rng.Below(4)) {
-    case 0: {  // composition with split variables (NVS(/))
-      std::vector<std::string> left, right;
-      for (auto& v : available) (rng.Chance(1, 2) ? left : right).push_back(v);
-      return PathExpr::Compose(RandomPpl(rng, left, depth - 1),
-                               RandomPpl(rng, right, depth - 1));
-    }
-    case 1:  // union shares variables freely
-      return PathExpr::Union(RandomPpl(rng, available, depth - 1),
-                             RandomPpl(rng, available, depth - 1));
-    case 2: {  // filter with split variables (NVS([]))
-      std::vector<std::string> left, right;
-      for (auto& v : available) (rng.Chance(1, 2) ? left : right).push_back(v);
-      return PathExpr::Filter(
-          RandomPpl(rng, left, depth - 1),
-          TestExpr::Path(RandomPpl(rng, right, depth - 1)));
-    }
-    default:  // variable-free negated filter (NV(not))
-      return PathExpr::Filter(
-          RandomPpl(rng, available, depth - 1),
-          TestExpr::Not(TestExpr::Path(RandomPpl(rng, {}, depth - 1))));
-  }
-}
 
 TEST_P(PipelineRandomTest, RandomPplAgreesWithDirect) {
   Rng rng(GetParam());

@@ -21,6 +21,7 @@
 #include "ppl/relation_cache.h"
 #include "tree/generators.h"
 #include "tree/tree.h"
+#include "test_generators.h"
 
 namespace xpv {
 namespace {
@@ -29,10 +30,10 @@ namespace {
 
 /// A dense n x n payload with one bit set (distinct bits keep the
 /// matrices distinguishable after cache round-trips).
-ppl::AnyMatrix OneBit(std::size_t n, std::size_t r, std::size_t c) {
+BoolMatrix OneBit(std::size_t n, std::size_t r, std::size_t c) {
   BitMatrix m(n);
   m.Set(r, c);
-  return ppl::AnyMatrix(std::move(m));
+  return BoolMatrix(std::move(m));
 }
 
 /// Resident bytes one cached entry costs, measured on a throwaway cache
@@ -40,7 +41,7 @@ ppl::AnyMatrix OneBit(std::size_t n, std::size_t r, std::size_t c) {
 /// not hardcode).
 std::size_t MeasuredEntryBytes(const std::string& key, std::size_t n) {
   ppl::RelationCache probe(1u << 30);
-  probe.Put(key, std::make_shared<const ppl::AnyMatrix>(OneBit(n, 0, 0)));
+  probe.Put(key, std::make_shared<const BoolMatrix>(OneBit(n, 0, 0)));
   return probe.stats().resident_bytes;
 }
 
@@ -49,18 +50,18 @@ TEST(RelationCacheTest, LruEvictsToBudgetAndPinnedEntriesSurvive) {
   const std::size_t entry = MeasuredEntryBytes("k1", n);
   // Room for three entries, not four.
   ppl::RelationCache cache(3 * entry + entry / 2);
-  cache.Put("k1", std::make_shared<const ppl::AnyMatrix>(OneBit(n, 1, 1)));
-  cache.Put("k2", std::make_shared<const ppl::AnyMatrix>(OneBit(n, 2, 2)));
-  cache.Put("k3", std::make_shared<const ppl::AnyMatrix>(OneBit(n, 3, 3)));
+  cache.Put("k1", std::make_shared<const BoolMatrix>(OneBit(n, 1, 1)));
+  cache.Put("k2", std::make_shared<const BoolMatrix>(OneBit(n, 2, 2)));
+  cache.Put("k3", std::make_shared<const BoolMatrix>(OneBit(n, 3, 3)));
   EXPECT_EQ(cache.stats().entries, 3u);
   EXPECT_EQ(cache.stats().evictions, 0u);
 
   // Touch k1 so k2 becomes the LRU tail, and keep the handle: eviction
   // must only drop the cache's reference, not the matrix.
-  std::shared_ptr<const ppl::AnyMatrix> pinned = cache.Get("k2");
+  std::shared_ptr<const BoolMatrix> pinned = cache.Get("k2");
   ASSERT_NE(pinned, nullptr);
   ASSERT_NE(cache.Get("k1"), nullptr);
-  cache.Put("k4", std::make_shared<const ppl::AnyMatrix>(OneBit(n, 4, 4)));
+  cache.Put("k4", std::make_shared<const BoolMatrix>(OneBit(n, 4, 4)));
 
   const ppl::RelationCacheStats stats = cache.stats();
   EXPECT_EQ(stats.entries, 3u);
@@ -78,7 +79,7 @@ TEST(RelationCacheTest, OversizeValueIsNotInserted) {
   const std::size_t n = 256;
   const std::size_t entry = MeasuredEntryBytes("big", n);
   ppl::RelationCache cache(entry / 2);
-  cache.Put("big", std::make_shared<const ppl::AnyMatrix>(OneBit(n, 0, 0)));
+  cache.Put("big", std::make_shared<const BoolMatrix>(OneBit(n, 0, 0)));
   EXPECT_EQ(cache.Get("big"), nullptr);
   EXPECT_EQ(cache.stats().entries, 0u);
   EXPECT_EQ(cache.stats().resident_bytes, 0u);
@@ -90,10 +91,10 @@ TEST(RelationCacheTest, ResidentBytesTrackPayloadWithinTenPercent) {
   ppl::RelationCache cache(1u << 30);
   std::size_t payload = 0;
   for (int i = 0; i < 8; ++i) {
-    ppl::AnyMatrix m = OneBit(256, static_cast<std::size_t>(i), 0);
+    BoolMatrix m = OneBit(256, static_cast<std::size_t>(i), 0);
     payload += m.resident_bytes();
     cache.Put("key-" + std::to_string(i),
-              std::make_shared<const ppl::AnyMatrix>(std::move(m)));
+              std::make_shared<const BoolMatrix>(std::move(m)));
   }
   const std::size_t resident = cache.stats().resident_bytes;
   EXPECT_GE(resident, payload);
@@ -101,31 +102,6 @@ TEST(RelationCacheTest, ResidentBytesTrackPayloadWithinTenPercent) {
 }
 
 // ------------------------------------- cache-on/off differential batches
-
-ppl::PplBinPtr RandomPplBin(Rng& rng, int depth, bool allow_complement) {
-  if (depth <= 0 || rng.Chance(1, 3)) {
-    if (rng.Chance(1, 5)) return ppl::PplBinExpr::Self();
-    return ppl::PplBinExpr::Step(
-        kAllAxes[rng.Below(kAllAxes.size())],
-        rng.Chance(1, 3) ? "*" : GeneratorLabel(rng.Below(3)));
-  }
-  switch (rng.Below(allow_complement ? 4u : 3u)) {
-    case 0:
-      return ppl::PplBinExpr::Compose(
-          RandomPplBin(rng, depth - 1, allow_complement),
-          RandomPplBin(rng, depth - 1, allow_complement));
-    case 1:
-      return ppl::PplBinExpr::Union(
-          RandomPplBin(rng, depth - 1, allow_complement),
-          RandomPplBin(rng, depth - 1, allow_complement));
-    case 2:
-      return ppl::PplBinExpr::Filter(
-          RandomPplBin(rng, depth - 1, allow_complement));
-    default:
-      return ppl::PplBinExpr::Complement(
-          RandomPplBin(rng, depth - 1, allow_complement));
-  }
-}
 
 void ExpectPayloadsEqual(const std::vector<engine::QueryResult>& a,
                          const std::vector<engine::QueryResult>& b) {
@@ -415,7 +391,7 @@ TEST(HashConsingTest, DuplicateSubtreesEvaluateOnce) {
       ab->Clone(), PplBinExpr::Compose(
                        ab->Clone(), PplBinExpr::Step(Axis::kDescendant, "c")));
   ppl::MatrixEngine engine(t);
-  Result<ppl::AnyMatrix> rel = engine.EvaluateAny(*p);
+  Result<BoolMatrix> rel = engine.EvaluateAny(*p);
   ASSERT_TRUE(rel.ok()) << rel.status();
   EXPECT_EQ(engine.stats().dense_products + engine.stats().sparse_products,
             2u);

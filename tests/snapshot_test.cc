@@ -16,6 +16,7 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
@@ -173,7 +174,7 @@ TEST(SnapshotSegmentTest, RoundTripPreservesTreeMetaAndWarmAxes) {
     EXPECT_EQ(seg.axes[0].first, Axis::kChild);
     EXPECT_EQ(seg.axes[1].first, Axis::kDescendant);
     for (const auto& [axis, matrix] : seg.axes) {
-      const IntervalMatrix truth = AxisIntervalMatrix(tree, axis);
+      const SparseBoolMatrix truth = AxisSparseMatrix(tree, axis);
       ASSERT_EQ(matrix.size(), truth.size());
       BitVector got, want;
       for (std::size_t row = 0; row < matrix.size(); ++row) {
@@ -205,22 +206,31 @@ TEST(SnapshotSegmentTest, AxisMatrixForBackingMatchesFreshCacheBitForBit) {
   Tree tree = BibliographyTree(rng, 5);
   for (const Axis axis : kAllAxes) {
     // Dense backing must equal what a dense AxisCache builds.
-    auto dense = engine::AxisMatrixForBacking(AxisIntervalMatrix(tree, axis),
-                                              /*dense=*/true);
-    AxisCache fresh(tree, AxisBacking::kDense);
+    const BoolMatrix dense = engine::AxisMatrixForBacking(
+        AxisSparseMatrix(tree, axis), /*dense=*/true);
+    AxisCache fresh(tree, MatrixRepr::kDense);
     const BoolMatrix& want = fresh.Matrix(axis);
-    ASSERT_EQ(dense->size(), want.size());
+    ASSERT_EQ(dense.size(), want.size());
     BitVector got_row, want_row;
     for (std::size_t row = 0; row < want.size(); ++row) {
-      dense->RowInto(row, got_row);
+      dense.RowInto(row, got_row);
       want.RowInto(row, want_row);
       EXPECT_EQ(got_row, want_row) << AxisName(axis) << " row " << row;
     }
-    EXPECT_NE(dense->AsDense(), nullptr);
-    // Interval backing preserves the runs verbatim.
-    auto sparse = engine::AxisMatrixForBacking(AxisIntervalMatrix(tree, axis),
-                                               /*dense=*/false);
-    EXPECT_NE(sparse->AsInterval(), nullptr);
+    EXPECT_TRUE(dense.is_dense());
+    // Run-list backing preserves the runs verbatim.
+    const BoolMatrix sparse = engine::AxisMatrixForBacking(
+        AxisSparseMatrix(tree, axis), /*dense=*/false);
+    ASSERT_FALSE(sparse.is_dense());
+    AxisCache fresh_runs(tree, MatrixRepr::kSparse);
+    const SparseBoolMatrix& want_runs = fresh_runs.Matrix(axis).sparse();
+    ASSERT_EQ(sparse.sparse().num_runs(), want_runs.num_runs());
+    for (std::size_t row = 0; row < want.size(); ++row) {
+      auto [gf, gl] = sparse.sparse().RunsOf(row);
+      auto [wf, wl] = want_runs.RunsOf(row);
+      EXPECT_TRUE(std::equal(gf, gl, wf, wl))
+          << AxisName(axis) << " row " << row;
+    }
   }
 }
 

@@ -5,6 +5,7 @@
 // Complement, FilterDiagonal -- checked cell-for-cell against the dense
 // BitMatrix kernels on seeded random and adversarial operands.
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -61,7 +62,6 @@ TEST(SparseMatrixTest, FromDenseRoundTrips) {
     for (std::uint64_t density : {0u, 5u, 50u, 100u}) {
       BitMatrix d = RandomDense(rng, n, density);
       SparseBoolMatrix s = SparseBoolMatrix::FromDense(d);
-      EXPECT_EQ(s.name(), "sparse");
       ExpectSameCells(s, d, "FromDense");
     }
   }
@@ -106,16 +106,35 @@ TEST(SparseMatrixTest, BuilderBudgetOverflowPoisonsTheBuild) {
   EXPECT_EQ(m.status().code(), StatusCode::kResourceExhausted);
 }
 
-TEST(SparseMatrixTest, FromBoolBorrowsIntervalBackedAxes) {
+TEST(SparseMatrixTest, MaskedStepsAgreeOnBothBackings) {
   Tree t = *Tree::ParseTerm("a(b(c,a),c(a,b(a)))");
-  AxisCache cache(t, AxisBacking::kInterval);
+  AxisCache runs(t, MatrixRepr::kSparse);
+  AxisCache dense(t, MatrixRepr::kDense);
   for (Axis axis : kAllAxes) {
-    const BoolMatrix& m = cache.Matrix(axis);
-    Result<SparseBoolMatrix> s = SparseBoolMatrix::FromBool(m);
-    ASSERT_TRUE(s.ok());
-    Result<BitMatrix> d = m.ToDense();
-    ASSERT_TRUE(d.ok());
-    ExpectSameCells(*s, *d, AxisName(axis).data());
+    ASSERT_FALSE(runs.Matrix(axis).is_dense());
+    ASSERT_TRUE(dense.Matrix(axis).is_dense());
+    for (const char* name : {"", "*", "a"}) {
+      const std::string ctx = std::string(AxisName(axis)) + "::" + name;
+      Result<BitMatrix> truth = dense.DenseStep(axis, name);
+      ASSERT_TRUE(truth.ok()) << ctx;
+      EXPECT_EQ(runs.DenseStep(axis, name).value(), *truth) << ctx;
+      for (AxisCache* cache : {&runs, &dense}) {
+        Result<SparseBoolMatrix> s = cache->SparseStep(axis, name);
+        ASSERT_TRUE(s.ok()) << ctx;
+        ExpectSameCells(*s, *truth, ctx.c_str());
+      }
+    }
+    // The unmasked step is the axis relation itself.
+    EXPECT_EQ(dense.DenseStep(axis, "").value(), dense.Matrix(axis).dense());
+  }
+  // A run budget below the step's run count fails the build.
+  for (AxisCache* cache : {&runs, &dense}) {
+    for (const char* name : {"", "a"}) {
+      Result<SparseBoolMatrix> s =
+          cache->SparseStep(Axis::kDescendant, name, /*max_runs=*/1);
+      ASSERT_FALSE(s.ok()) << name;
+      EXPECT_EQ(s.status().code(), StatusCode::kResourceExhausted);
+    }
   }
 }
 

@@ -9,6 +9,7 @@
 #include "hcl/parser.h"
 #include "ppl/parser.h"
 #include "tree/generators.h"
+#include "test_generators.h"
 
 namespace xpv {
 namespace {
@@ -68,34 +69,12 @@ TEST(PplBinParserTest, Errors) {
   EXPECT_FALSE(ppl::ParsePplBin("frob::a").ok());
 }
 
-ppl::PplBinPtr RandomPplBin(Rng& rng, int depth) {
-  if (depth <= 0 || rng.Chance(1, 3)) {
-    if (rng.Chance(1, 5)) return ppl::PplBinExpr::Self();
-    return ppl::PplBinExpr::Step(kAllAxes[rng.Below(kAllAxes.size())],
-                                 rng.Chance(1, 3)
-                                     ? "*"
-                                     : GeneratorLabel(rng.Below(3)));
-  }
-  switch (rng.Below(4)) {
-    case 0:
-      return ppl::PplBinExpr::Compose(RandomPplBin(rng, depth - 1),
-                                      RandomPplBin(rng, depth - 1));
-    case 1:
-      return ppl::PplBinExpr::Union(RandomPplBin(rng, depth - 1),
-                                    RandomPplBin(rng, depth - 1));
-    case 2:
-      return ppl::PplBinExpr::Complement(RandomPplBin(rng, depth - 1));
-    default:
-      return ppl::PplBinExpr::Filter(RandomPplBin(rng, depth - 1));
-  }
-}
-
 class PplBinRoundTripTest : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(PplBinRoundTripTest, PrintParseIdentity) {
   Rng rng(GetParam());
   for (int trial = 0; trial < 40; ++trial) {
-    ppl::PplBinPtr p = RandomPplBin(rng, 4);
+    ppl::PplBinPtr p = RandomPplBin(rng, 4, /*allow_complement=*/true);
     std::string printed = p->ToString();
     Result<ppl::PplBinPtr> reparsed = ppl::ParsePplBin(printed);
     ASSERT_TRUE(reparsed.ok()) << printed << ": " << reparsed.status();
@@ -159,7 +138,8 @@ hcl::HclPtr RandomHcl(Rng& rng, int depth) {
                                                     'x' + rng.Below(3))));
       case 1:
         return hcl::HclExpr::Binary(
-            hcl::MakePplBinQuery(RandomPplBin(rng, 2)));
+            hcl::MakePplBinQuery(
+                RandomPplBin(rng, 2, /*allow_complement=*/true)));
       default:
         return hcl::HclExpr::Binary(hcl::MakeFullRelationQuery());
     }

@@ -14,30 +14,17 @@
 #include "tree/generators.h"
 #include "tree/naive_reference.h"
 #include "tree/tree.h"
+#include "test_generators.h"
 
 namespace xpv {
 namespace {
 
 std::vector<Tree> Corpus(std::uint64_t seed) {
-  Rng rng(seed);
-  std::vector<Tree> corpus;
-  for (std::size_t nodes : {1u, 2u, 7u, 33u, 64u, 65u, 200u}) {
-    RandomTreeOptions opts;
-    opts.num_nodes = nodes;
-    opts.alphabet_size = 1 + rng.Below(4);
-    corpus.push_back(RandomTree(rng, opts));
-  }
-  {
-    RandomTreeOptions opts;
-    opts.num_nodes = 150;
-    opts.max_children = 2;
-    corpus.push_back(RandomTree(rng, opts));
-  }
-  corpus.push_back(PathTree(97));
-  corpus.push_back(StarTree(96));
-  corpus.push_back(PerfectBinaryTree(6));
-  corpus.push_back(BibliographyTree(rng, 12));
-  return corpus;
+  return xpv::Corpus(seed, {.random_sizes = {1, 2, 7, 33, 64, 65, 200},
+                            .binary_nodes = 150,
+                            .shape_nodes = 96,
+                            .perfect_height = 6,
+                            .bibliography_books = 12});
 }
 
 class TreeIndexPropertyTest : public ::testing::TestWithParam<std::uint64_t> {
@@ -150,8 +137,8 @@ std::vector<Tree> StatFamilies() {
   return trees;
 }
 
-/// Cells in row `r` of an interval relation.
-std::size_t RowCells(const IntervalMatrix& m, std::size_t r) {
+/// Cells in row `r` of a run-list relation.
+std::size_t RowCells(const SparseBoolMatrix& m, std::size_t r) {
   std::size_t cells = 0;
   auto [first, last] = m.RunsOf(r);
   for (auto it = first; it != last; ++it) cells += it->end - it->begin;
@@ -160,11 +147,11 @@ std::size_t RowCells(const IntervalMatrix& m, std::size_t r) {
 
 TEST(TreeStatsTest, AxisShapesAreTheIntervalRelationsMeans) {
   for (const Tree& t : StatFamilies()) {
-    AxisCache cache(t, AxisBacking::kInterval);
+    AxisCache cache(t, MatrixRepr::kSparse);
     const double n = static_cast<double>(t.size());
     for (Axis axis : kAllAxes) {
-      const IntervalMatrix* m = cache.Matrix(axis).AsInterval();
-      ASSERT_NE(m, nullptr);
+      ASSERT_FALSE(cache.Matrix(axis).is_dense());
+      const SparseBoolMatrix* m = &cache.Matrix(axis).sparse();
       const AxisShape& shape = AxisShapeOf(t, axis);
       EXPECT_DOUBLE_EQ(shape.cells_per_row,
                        static_cast<double>(m->Count()) / n)
@@ -178,10 +165,10 @@ TEST(TreeStatsTest, AxisShapesAreTheIntervalRelationsMeans) {
 
 TEST(TreeStatsTest, PairRunsAreTheRunsOfAdjacentRowUnions) {
   for (const Tree& t : StatFamilies()) {
-    AxisCache cache(t, AxisBacking::kInterval);
+    AxisCache cache(t, MatrixRepr::kSparse);
     const std::size_t n = t.size();
     for (Axis axis : kAllAxes) {
-      const IntervalMatrix& m = *cache.Matrix(axis).AsInterval();
+      const SparseBoolMatrix& m = cache.Matrix(axis).sparse();
       double runs = 0.0;
       for (std::size_t v = 1; v < n; ++v) {
         std::vector<bool> row(n, false);
@@ -204,14 +191,14 @@ TEST(TreeStatsTest, PairRunsAreTheRunsOfAdjacentRowUnions) {
 
 TEST(TreeStatsTest, TargetStatsMatchBruteForce) {
   for (const Tree& t : StatFamilies()) {
-    AxisCache cache(t, AxisBacking::kInterval);
+    AxisCache cache(t, MatrixRepr::kSparse);
     const TargetStats& targets = t.Targets();
     for (Axis a : kAllAxes) {
-      const IntervalMatrix& am = *cache.Matrix(a).AsInterval();
+      const SparseBoolMatrix& am = cache.Matrix(a).sparse();
       // Label counts at A-targets, and B-row totals at A-targets.
       std::vector<double> labeled_children(t.alphabet_size(), 0.0);
       for (Axis b : kAllAxes) {
-        const IntervalMatrix& bm = *cache.Matrix(b).AsInterval();
+        const SparseBoolMatrix& bm = cache.Matrix(b).sparse();
         double cells = 0.0;
         double runs = 0.0;
         double hits = 0.0;
@@ -246,7 +233,7 @@ TEST(TreeStatsTest, TargetStatsMatchBruteForce) {
     // Rows at L-labeled nodes.
     for (LabelId l = 0; l < t.alphabet_size(); ++l) {
       for (Axis b : kAllAxes) {
-        const IntervalMatrix& bm = *cache.Matrix(b).AsInterval();
+        const SparseBoolMatrix& bm = cache.Matrix(b).sparse();
         double cells = 0.0;
         double runs = 0.0;
         for (NodeId v : t.LabelPostings(l)) {
