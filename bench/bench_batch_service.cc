@@ -290,10 +290,11 @@ BENCHMARK(BM_ShapeBoolean)->Arg(512)->Arg(2048)
 // (n-1)^2 n answers on a path of n nodes -- 500k at n=80, 3.9M at
 // n=140, 7.9M at n=200), against materializing the full tuple set
 // through the batch path (smaller sizes, 25k at n=30 and 120k at n=50:
-// the Fig. 8 machinery already needs seconds where the stream's first
-// page costs a tenth of a millisecond). First-K time must stay flat as
-// the answer count explodes; materialize-all grows with it. CI fails
-// if this section goes missing from BENCH_batch_service.json.
+// the Fig. 8 machinery needs milliseconds to tens of milliseconds there,
+// growing with the answer count, where the stream's first page costs a
+// tenth of a millisecond). First-K time must stay flat as the answer
+// count explodes; materialize-all grows with it. CI fails if this
+// section goes missing from BENCH_batch_service.json.
 
 const char* kStreamBenchQuery = "$x/descendant::*/$y/descendant::*/$z";
 

@@ -421,6 +421,21 @@ BitVector BitMatrix::RowsContaining(const BitVector& cols) const {
   return out;
 }
 
+BitVector BitMatrix::RowsMeeting(const BitVector& cols) const {
+  assert(cols.size() == n_);
+  BitVector out(n_);
+  for (std::size_t r = 0; r < n_; ++r) {
+    const std::uint64_t* row = &words_[r * words_per_row_];
+    for (std::size_t w = 0; w < words_per_row_; ++w) {
+      if ((cols.words()[w] & row[w]) != 0) {
+        out.Set(r);
+        break;
+      }
+    }
+  }
+  return out;
+}
+
 std::size_t BitMatrix::Count() const {
   std::size_t count = 0;
   for (auto w : words_) count += static_cast<std::size_t>(__builtin_popcountll(w));

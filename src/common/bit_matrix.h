@@ -17,6 +17,7 @@
 #define XPV_COMMON_BIT_MATRIX_H_
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -202,12 +203,20 @@ class BitMatrix {
   /// set under the complemented relation: u has some v in cols with
   /// not M[u][v] iff row u does not contain cols.
   BitVector RowsContaining(const BitVector& cols) const;
+  /// Rows with a set bit in some column of `cols`: the preimage of a node
+  /// set, MaskColumns(cols).NonEmptyRows() without the matrix copy.
+  BitVector RowsMeeting(const BitVector& cols) const;
 
   /// Number of set cells.
   std::size_t Count() const;
   /// True iff no cell is set.
   bool None() const;
 
+  /// The packed words of row `row` (ceil(size() / 64) of them, padding
+  /// bits zero), borrowed from the matrix.
+  std::span<const std::uint64_t> RowWords(std::size_t row) const {
+    return {words_.data() + row * words_per_row_, words_per_row_};
+  }
   /// Row `row` as a BitVector copy.
   BitVector Row(std::size_t row) const;
   /// Copies row `row` into `out`, resizing it to size() if needed (no

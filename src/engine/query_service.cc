@@ -347,6 +347,7 @@ QueryResult QueryService::RunJob(
       // BatchHandle::Cancel and expired deadlines mid-run.
       hcl::AnswerOptions answer_options;
       answer_options.cancel = cancel;
+      answer_options.relation_cache = relations;
       hcl::QueryAnswerer answerer(t, *q.hcl, q.tuple_vars, answer_options,
                                   cache);
       Status prepared = answerer.Prepare();

@@ -56,6 +56,7 @@ Status BuildBacking(StreamState& s) {
       options.cancel = CancelToken(&s.cancelled, s.options.deadline);
       options.dedup.max_bytes = s.options.max_dedup_bytes;
       options.axis_cache = s.cache;
+      options.relation_cache = s.relations;
       Result<fo::AcqEnumerator> e =
           fo::AcqEnumerator::Create(*s.tree, *q.acq, std::move(options));
       if (!e.ok()) return e.status();
@@ -65,6 +66,7 @@ Status BuildBacking(StreamState& s) {
     case StreamBacking::kMaterialized: {
       hcl::AnswerOptions options;
       options.cancel = CancelToken(&s.cancelled, s.options.deadline);
+      options.relation_cache = s.relations;
       hcl::QueryAnswerer answerer(*s.tree, *q.hcl, q.tuple_vars, options,
                                   s.cache);
       XPV_RETURN_IF_ERROR(answerer.Prepare());

@@ -30,8 +30,7 @@ void VarUnionFind::Merge(const std::string& a, const std::string& b) {
 
 Status BuildReduced(const Tree& t, const ConjunctiveQuery& q,
                     VarUnionFind* uf, ReducedQuery* out,
-                    std::shared_ptr<AxisCache> axis_cache,
-                    CancelToken* cancel) {
+                    hcl::LeafRelations& leaves, CancelToken* cancel) {
   for (const auto& [a, b] : q.equalities) uf->Merge(a, b);
 
   auto intern = [&](const std::string& v) -> int {
@@ -48,30 +47,15 @@ Status BuildReduced(const Tree& t, const ConjunctiveQuery& q,
   };
 
   // Collapse parallel atoms between the same variable pair by intersecting
-  // their relations; orient edges u < v consistently.
-  std::map<std::pair<int, int>, BitMatrix> edge_map;
-  std::map<const hcl::BinaryQuery*, BitMatrix> rel_cache;
-  auto eval_rel =
-      [&](const hcl::BinaryQueryPtr& b) -> Result<const BitMatrix*> {
-    auto it = rel_cache.find(b.get());
-    if (it == rel_cache.end()) {
-      BitMatrix rel(0);
-      if (axis_cache != nullptr) {
-        XPV_ASSIGN_OR_RETURN(rel, b->EvaluateCached(axis_cache));
-      } else {
-        rel = b->Evaluate(t);
-      }
-      it = rel_cache.emplace(b.get(), std::move(rel)).first;
-    }
-    return &it->second;
-  };
-
+  // their relations; a lone atom keeps its relation as read.
+  std::map<std::pair<int, int>, ReducedQuery::Edge> edge_map;
   for (const CqAtom& atom : q.atoms) {
     if (cancel != nullptr) XPV_RETURN_IF_ERROR(cancel->CheckNow());
     int ux = intern(atom.x);
     int uy = intern(atom.y);
-    XPV_ASSIGN_OR_RETURN(const BitMatrix* rel_ptr, eval_rel(atom.rel));
-    const BitMatrix& rel = *rel_ptr;
+    XPV_ASSIGN_OR_RETURN(std::shared_ptr<const BoolMatrix> relation,
+                         leaves.Get(*atom.rel));
+    const BitMatrix& rel = relation->dense();
     if (ux == uy) {
       // Self-loop: unary filter { u | rel(u,u) }.
       BitVector diag(t.size());
@@ -81,22 +65,27 @@ Status BuildReduced(const Tree& t, const ConjunctiveQuery& q,
       out->candidates[ux].AndWith(diag);
       continue;
     }
-    BitMatrix oriented = ux < uy ? rel : rel.Transpose();
     auto key = std::minmax(ux, uy);
     auto it = edge_map.find({key.first, key.second});
     if (it == edge_map.end()) {
       edge_map.emplace(std::make_pair(key.first, key.second),
-                       std::move(oriented));
+                       ReducedQuery::Edge{ux, uy, std::move(relation)});
     } else {
-      it->second = it->second.And(oriented);
+      ReducedQuery::Edge& e = it->second;
+      BitMatrix both =
+          e.u == ux ? e.rel().And(rel) : e.rel().And(rel.Transpose());
+      e.relation = std::make_shared<const BoolMatrix>(std::move(both));
     }
   }
-  for (auto& [key, rel] : edge_map) {
-    out->edges.push_back({key.first, key.second, std::move(rel)});
-  }
+  for (auto& [key, edge] : edge_map) out->edges.push_back(std::move(edge));
   // Output variables not in any atom still need candidate sets.
   for (const std::string& v : q.output_vars) intern(v);
   return Status::OK();
+}
+
+BitVector AcrossEdge(const ReducedQuery::Edge& e, int from,
+                     const BitVector& set) {
+  return e.u == from ? e.rel().ImageOf(set) : e.rel().RowsMeeting(set);
 }
 
 bool BuildForest(const ReducedQuery& rq, Forest* out) {
@@ -128,11 +117,12 @@ bool BuildForest(const ReducedQuery& rq, Forest* out) {
   return true;
 }
 
-BitMatrix ParentToChild(const ReducedQuery& rq, const Forest& forest,
-                        int child) {
+std::shared_ptr<const BoolMatrix> ParentToChild(const ReducedQuery& rq,
+                                                const Forest& forest,
+                                                int child) {
   const auto& edge = rq.edges[forest.parent_edge[child]];
   if (edge.u == forest.parent[child]) return edge.relation;
-  return edge.relation.Transpose();
+  return std::make_shared<const BoolMatrix>(edge.rel().Transpose());
 }
 
 void SemijoinReduce(const Forest& forest, ReducedQuery* rq) {
@@ -140,17 +130,17 @@ void SemijoinReduce(const Forest& forest, ReducedQuery* rq) {
   for (auto it = forest.order.rbegin(); it != forest.order.rend(); ++it) {
     int child = *it;
     if (forest.parent[child] < 0) continue;
-    BitMatrix rel = ParentToChild(*rq, forest, child);
-    BitVector surviving =
-        rel.MaskColumns(rq->candidates[child]).NonEmptyRows();
-    rq->candidates[forest.parent[child]].AndWith(surviving);
+    const auto& edge = rq->edges[forest.parent_edge[child]];
+    rq->candidates[forest.parent[child]].AndWith(
+        AcrossEdge(edge, child, rq->candidates[child]));
   }
   // Top-down: parents before children (BFS order).
   for (int child : forest.order) {
     if (forest.parent[child] < 0) continue;
-    BitMatrix rel = ParentToChild(*rq, forest, child);
-    BitVector reachable = rel.ImageOf(rq->candidates[forest.parent[child]]);
-    rq->candidates[child].AndWith(reachable);
+    const int parent = forest.parent[child];
+    const auto& edge = rq->edges[forest.parent_edge[child]];
+    rq->candidates[child].AndWith(
+        AcrossEdge(edge, parent, rq->candidates[parent]));
   }
 }
 
@@ -233,7 +223,8 @@ Result<xpath::TupleSet> AnswerAcqYannakakis(const Tree& t,
                                             const ConjunctiveQuery& q) {
   VarUnionFind uf;
   ReducedQuery rq;
-  XPV_RETURN_IF_ERROR(BuildReduced(t, q, &uf, &rq));
+  hcl::LeafRelations leaves(std::make_shared<AxisCache>(t), nullptr);
+  XPV_RETURN_IF_ERROR(BuildReduced(t, q, &uf, &rq, leaves));
   Forest forest;
   if (!BuildForest(rq, &forest)) {
     return Status::InvalidArgument("query is cyclic: " + q.ToString());
@@ -247,6 +238,14 @@ Result<xpath::TupleSet> AnswerAcqYannakakis(const Tree& t,
   std::vector<int> output_ids;
   for (const std::string& v : q.output_vars) {
     output_ids.push_back(rq.var_id.at(uf.Find(v)));
+  }
+
+  // One parent -> child relation per variable, hoisted out of the DFS.
+  std::vector<std::shared_ptr<const BoolMatrix>> parent_rel(rq.vars.size());
+  for (int var = 0; var < static_cast<int>(rq.vars.size()); ++var) {
+    if (forest.parent[var] >= 0) {
+      parent_rel[var] = ParentToChild(rq, forest, var);
+    }
   }
 
   xpath::TupleSet answers;
@@ -263,8 +262,8 @@ Result<xpath::TupleSet> AnswerAcqYannakakis(const Tree& t,
     int var = forest.order[idx];
     BitVector choices = rq.candidates[var];
     if (forest.parent[var] >= 0) {
-      BitMatrix rel = ParentToChild(rq, forest, var);
-      choices.AndWith(rel.Row(assignment[forest.parent[var]]));
+      choices.AndWith(
+          parent_rel[var]->dense().Row(assignment[forest.parent[var]]));
     }
     choices.ForEachSet([&](std::size_t u) {
       assignment[var] = static_cast<NodeId>(u);

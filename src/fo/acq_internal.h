@@ -11,9 +11,10 @@
 #include <vector>
 
 #include "common/bit_matrix.h"
+#include "common/bool_matrix.h"
 #include "common/cancel.h"
 #include "fo/acq.h"
-#include "tree/axis_cache.h"
+#include "hcl/binary_query.h"
 
 namespace xpv::fo::internal {
 
@@ -33,23 +34,34 @@ struct ReducedQuery {
   std::vector<std::string> vars;
   std::map<std::string, int> var_id;
   struct Edge {
+    /// The relation is oriented u -> v; the ids come in either order, so
+    /// an atom's relation is kept as it was read, without a transpose.
     int u, v;
-    BitMatrix relation;  // oriented u -> v with u < v
+    /// Dense, and possibly borrowed from a RelationCache: never mutated.
+    std::shared_ptr<const BoolMatrix> relation;
+
+    const BitMatrix& rel() const { return relation->dense(); }
   };
   std::vector<Edge> edges;
   std::vector<BitVector> candidates;
 };
 
-/// Materializes relations, merges equalities, collapses parallel edges and
-/// applies self-loop filters. Relation materialization draws axis
-/// matrices from `axis_cache` when one is supplied (e.g. a stored
-/// document's persistent cache); `cancel`, when non-null, is observed
-/// between atom materializations so a slow preprocessing stops
+/// Reads relations through `leaves`, merges equalities, collapses parallel
+/// edges and applies self-loop filters. An edge borrows its atom's
+/// relation unless parallel atoms had to be intersected. `cancel`, when
+/// non-null, is observed between atoms so a slow preprocessing stops
 /// cooperatively.
 Status BuildReduced(const Tree& t, const ConjunctiveQuery& q,
                     VarUnionFind* uf, ReducedQuery* out,
-                    std::shared_ptr<AxisCache> axis_cache = nullptr,
+                    hcl::LeafRelations& leaves,
                     CancelToken* cancel = nullptr);
+
+/// The nodes at the far end of `e` related to some node of `set` at its
+/// end `from`: the image of `set` when `from` is the edge's source, its
+/// preimage (BitMatrix::RowsMeeting) when `from` is the target. Reads the
+/// relation in place, whichever way it is oriented.
+BitVector AcrossEdge(const ReducedQuery::Edge& e, int from,
+                     const BitVector& set);
 
 /// A rooted orientation of the (forest-shaped) variable graph.
 struct Forest {
@@ -61,9 +73,11 @@ struct Forest {
 /// Returns false when the graph contains a cycle.
 bool BuildForest(const ReducedQuery& rq, Forest* out);
 
-/// The relation of `child`'s parent edge, oriented parent -> child.
-BitMatrix ParentToChild(const ReducedQuery& rq, const Forest& forest,
-                        int child);
+/// The relation of `child`'s parent edge, oriented parent -> child: the
+/// edge's own relation when it already points that way, else a transpose.
+std::shared_ptr<const BoolMatrix> ParentToChild(const ReducedQuery& rq,
+                                                const Forest& forest,
+                                                int child);
 
 /// The two semijoin passes of Yannakakis' algorithm: after this, every
 /// surviving candidate value extends to a full solution.

@@ -1,6 +1,7 @@
 #include "fo/enumerate.h"
 
 #include <algorithm>
+#include <span>
 #include <utility>
 
 #include "fo/acq_internal.h"
@@ -12,6 +13,34 @@ using internal::ParentToChild;
 using internal::ReducedQuery;
 
 namespace {
+
+/// R(x -> v) . diag(through) . s for the edge `e` between x and v, read
+/// in whichever orientation it is stored, and `s` oriented v -> y: row x
+/// of the result ORs the rows of `s` at the nodes of `through` that x
+/// reaches along `e`. Only the result is allocated.
+BitMatrix ComposeThrough(const ReducedQuery::Edge& e, int x,
+                         const BitVector& through, const BitMatrix& s) {
+  const BitMatrix& r = e.rel();
+  BitMatrix out(r.size());
+  if (e.u == x) {
+    for (std::size_t row = 0; row < r.size(); ++row) {
+      const std::span<const std::uint64_t> words = r.RowWords(row);
+      for (std::size_t w = 0; w < words.size(); ++w) {
+        std::uint64_t bits = words[w] & through.words()[w];
+        while (bits != 0) {
+          out.OrRowFrom(row, s, w * 64 + __builtin_ctzll(bits));
+          bits &= bits - 1;
+        }
+      }
+    }
+  } else {
+    // Stored v -> x: scatter each row k of `s` to the x-nodes k reaches.
+    through.ForEachSet([&](std::size_t k) {
+      r.ForEachInRow(k, [&](std::size_t row) { out.OrRowFrom(row, s, k); });
+    });
+  }
+  return out;
+}
 
 /// Yannakakis projection optimization: existentially eliminates
 /// non-output variables before enumeration. The Fig. 7 translation
@@ -25,8 +54,9 @@ namespace {
 ///     rel(u->v) restricted to cand[v];
 ///   * a non-output DEGREE-2 variable v (edges a-v, v-b) is composed
 ///     away: the new a-b relation is M(a->v) . diag(cand[v]) . M(v->b)
-///     (one Boolean product); a == b degenerates to a unary filter via
-///     the product's diagonal;
+///     (one Boolean product, reading both relations as stored; only two
+///     edges that both point into v cost a transpose); a == b
+///     degenerates to a unary filter via the product's diagonal;
 ///   * a non-output ISOLATED variable contributes only satisfiability:
 ///     an empty candidate set empties the whole query.
 ///
@@ -43,31 +73,15 @@ Result<bool> EliminateNonOutputVars(const std::vector<int>& output_ids,
   std::vector<bool> is_output(n, false);
   for (int id : output_ids) is_output[static_cast<std::size_t>(id)] = true;
   std::vector<bool> alive(n, true);
-
-  struct Edge {
-    int u, v;          // u < v
-    BitMatrix rel;     // oriented u -> v
-    bool alive = true;
-  };
-  std::vector<Edge> edges;
-  edges.reserve(rq->edges.size());
-  for (auto& e : rq->edges) edges.push_back({e.u, e.v, std::move(e.relation)});
+  std::vector<ReducedQuery::Edge>& edges = rq->edges;
+  std::vector<bool> edge_alive(edges.size(), true);
 
   auto degree_of = [&](int v) {
     int d = 0;
-    for (const Edge& e : edges) {
-      if (e.alive && (e.u == v || e.v == v)) ++d;
+    for (std::size_t i = 0; i < edges.size(); ++i) {
+      if (edge_alive[i] && (edges[i].u == v || edges[i].v == v)) ++d;
     }
     return d;
-  };
-  // Views e.rel oriented from -> other, transposing into `storage` only
-  // when the stored orientation differs -- the aligned case must not
-  // copy an O(|t|^2) matrix just to read it.
-  auto oriented = [&](const Edge& e, int from,
-                      BitMatrix& storage) -> const BitMatrix& {
-    if (e.u == from) return e.rel;
-    storage = e.rel.Transpose();
-    return storage;
   };
 
   bool changed = true;
@@ -88,28 +102,32 @@ Result<bool> EliminateNonOutputVars(const std::vector<int>& output_ids,
       // Collect the 1 or 2 live edges at v.
       std::vector<std::size_t> at;
       for (std::size_t i = 0; i < edges.size(); ++i) {
-        if (edges[i].alive && (edges[i].u == v || edges[i].v == v)) {
+        if (edge_alive[i] && (edges[i].u == v || edges[i].v == v)) {
           at.push_back(i);
         }
       }
       if (deg == 1) {
-        Edge& e = edges[at[0]];
+        const ReducedQuery::Edge& e = edges[at[0]];
         const int u = e.u == v ? e.v : e.u;
-        BitMatrix flipped;
         rq->candidates[static_cast<std::size_t>(u)].AndWith(
-            oriented(e, u, flipped).MaskColumns(cand_v).NonEmptyRows());
-        e.alive = false;
+            internal::AcrossEdge(e, v, cand_v));
+        edge_alive[at[0]] = false;
       } else {
-        Edge& e1 = edges[at[0]];
-        Edge& e2 = edges[at[1]];
+        // Compose into a -> b through the edge leaving v; with none,
+        // one transpose makes e2 leave v.
+        if (edges[at[1]].u != v && edges[at[0]].u == v) {
+          std::swap(at[0], at[1]);
+        }
+        const ReducedQuery::Edge& e1 = edges[at[0]];
+        const ReducedQuery::Edge& e2 = edges[at[1]];
         const int a = e1.u == v ? e1.v : e1.u;
         const int b = e2.u == v ? e2.v : e2.u;
-        BitMatrix flipped1, flipped2;
-        BitMatrix composed = oriented(e1, a, flipped1)
-                                 .MaskColumns(cand_v)
-                                 .Multiply(oriented(e2, v, flipped2));
-        e1.alive = false;
-        e2.alive = false;
+        BitMatrix flipped;
+        if (e2.u != v) flipped = e2.rel().Transpose();
+        BitMatrix composed =
+            ComposeThrough(e1, a, cand_v, e2.u == v ? e2.rel() : flipped);
+        edge_alive[at[0]] = false;
+        edge_alive[at[1]] = false;
         if (a == b) {
           // Both edges lead to one neighbor: a unary self-join filter.
           BitVector diag(composed.size());
@@ -118,18 +136,25 @@ Result<bool> EliminateNonOutputVars(const std::vector<int>& output_ids,
           }
           rq->candidates[static_cast<std::size_t>(a)].AndWith(diag);
         } else {
-          BitMatrix rel =
-              a < b ? std::move(composed) : composed.Transpose();
-          const int lo = std::min(a, b), hi = std::max(a, b);
+          // The new edge a -> b; a parallel live edge absorbs it instead.
           bool merged = false;
-          for (Edge& other : edges) {
-            if (other.alive && other.u == lo && other.v == hi) {
-              other.rel = other.rel.And(rel);
-              merged = true;
-              break;
+          for (std::size_t i = 0; i < edges.size(); ++i) {
+            ReducedQuery::Edge& other = edges[i];
+            if (!edge_alive[i] || std::minmax(other.u, other.v) !=
+                                      std::minmax(a, b)) {
+              continue;
             }
+            other.relation = std::make_shared<const BoolMatrix>(
+                other.u == a ? other.rel().And(composed)
+                             : other.rel().And(composed.Transpose()));
+            merged = true;
+            break;
           }
-          if (!merged) edges.push_back({lo, hi, std::move(rel)});
+          if (!merged) {
+            edges.push_back(
+                {a, b, std::make_shared<const BoolMatrix>(std::move(composed))});
+            edge_alive.push_back(true);
+          }
         }
       }
       alive[v] = false;
@@ -147,9 +172,10 @@ Result<bool> EliminateNonOutputVars(const std::vector<int>& output_ids,
     out.vars.push_back(std::move(rq->vars[v]));
     out.candidates.push_back(std::move(rq->candidates[v]));
   }
-  for (Edge& e : edges) {
-    if (!e.alive) continue;
-    out.edges.push_back({remap[e.u], remap[e.v], std::move(e.rel)});
+  for (std::size_t i = 0; i < edges.size(); ++i) {
+    if (!edge_alive[i]) continue;
+    out.edges.push_back(
+        {remap[edges[i].u], remap[edges[i].v], std::move(edges[i].relation)});
   }
   *rq = std::move(out);
   return true;
@@ -166,10 +192,11 @@ struct AcqEnumerator::Impl {
 
   /// Parent-edge relations oriented parent -> child, one per non-root
   /// variable, precomputed so each DFS frame entry is one row lookup --
-  /// calling internal::ParentToChild per step would copy (and possibly
-  /// transpose) a full |t| x |t| matrix, making the delay O(|t|^2/64)
-  /// instead of O(#vars |t|/64).
-  std::vector<BitMatrix> parent_rel;  // by var id; empty for roots
+  /// calling internal::ParentToChild per step could transpose a full
+  /// |t| x |t| matrix, making the delay O(|t|^2/64) instead of
+  /// O(#vars |t|/64). Shared with the edge (and so possibly with the
+  /// document's RelationCache) unless the edge points child -> parent.
+  std::vector<std::shared_ptr<const BoolMatrix>> parent_rel;  // by var id
 
   // Resumable DFS state: current value per variable (in forest.order
   // position), kNoNode when the frame is not yet entered. `depth` is the
@@ -188,16 +215,18 @@ struct AcqEnumerator::Impl {
   std::size_t produced = 0;
   Status failed;  // sticky error from cancel/dedup
 
-  /// Computes the candidate row for the variable at order position
-  /// `pos` given the current parent assignment.
-  BitVector ChoicesAt(std::size_t pos) const {
+  /// Fills frame_choices[pos] with the candidate row for the variable at
+  /// order position `pos` given the current parent assignment.
+  void FillChoices(std::size_t pos) {
     int var = forest.order[pos];
-    BitVector choices = rq.candidates[var];
+    BitVector& choices = frame_choices[pos];
+    choices = rq.candidates[var];
     if (forest.parent[var] >= 0) {
-      choices.AndWith(
-          parent_rel[var].Row(assignment[forest.parent[var]]));
+      const std::span<const std::uint64_t> row =
+          parent_rel[var]->dense().RowWords(assignment[forest.parent[var]]);
+      std::vector<std::uint64_t>& words = choices.mutable_words();
+      for (std::size_t w = 0; w < words.size(); ++w) words[w] &= row[w];
     }
-    return choices;
   }
 
   /// Advances the DFS to the next full assignment; returns false when
@@ -217,7 +246,7 @@ struct AcqEnumerator::Impl {
     if (!started) {
       started = true;
       depth = 0;
-      frame_choices[0] = ChoicesAt(0);
+      FillChoices(0);
       frame_cursor[0] = frame_choices[0].FirstSet();
     } else {
       // Resume by advancing the deepest frame.
@@ -245,7 +274,7 @@ struct AcqEnumerator::Impl {
           static_cast<NodeId>(frame_cursor[depth]);
       if (depth + 1 == num_frames) return true;  // full assignment
       ++depth;
-      frame_choices[depth] = ChoicesAt(static_cast<std::size_t>(depth));
+      FillChoices(static_cast<std::size_t>(depth));
       frame_cursor[depth] = frame_choices[depth].FirstSet();
     }
   }
@@ -265,8 +294,11 @@ Result<AcqEnumerator> AcqEnumerator::Create(const Tree& t,
   auto impl = std::make_unique<Impl>();
   impl->options = std::move(options);
   internal::VarUnionFind uf;
-  XPV_RETURN_IF_ERROR(internal::BuildReduced(t, q, &uf, &impl->rq,
-                                             impl->options.axis_cache,
+  hcl::LeafRelations leaves(impl->options.axis_cache != nullptr
+                                ? impl->options.axis_cache
+                                : std::make_shared<AxisCache>(t),
+                            impl->options.relation_cache);
+  XPV_RETURN_IF_ERROR(internal::BuildReduced(t, q, &uf, &impl->rq, leaves,
                                              &impl->options.cancel));
   // Cyclicity is judged on the raw variable graph (the documented
   // contract); elimination below may only shrink it.
@@ -290,6 +322,7 @@ Result<AcqEnumerator> AcqEnumerator::Create(const Tree& t,
     impl->exhausted = true;
     impl->rq = ReducedQuery{};
     impl->forest = Forest{};
+    leaves.Publish();
     return AcqEnumerator(std::move(impl));
   }
   if (!internal::BuildForest(impl->rq, &impl->forest)) {
@@ -325,6 +358,7 @@ Result<AcqEnumerator> AcqEnumerator::Create(const Tree& t,
   if (!injective) {
     impl->seen.emplace(impl->output_ids.size(), impl->options.dedup);
   }
+  leaves.Publish();
   return AcqEnumerator(std::move(impl));
 }
 

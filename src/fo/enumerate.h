@@ -34,6 +34,10 @@
 #include "fo/tuple_dedup.h"
 #include "tree/axis_cache.h"
 
+namespace xpv::ppl {
+class RelationCache;
+}  // namespace xpv::ppl
+
 namespace xpv::fo {
 
 struct AcqEnumeratorOptions {
@@ -46,8 +50,12 @@ struct AcqEnumeratorOptions {
   /// then no dedup state is kept at all.
   TupleDedupOptions dedup;
   /// Optional shared per-tree axis cache for relation materialization
-  /// (e.g. a stored document's persistent cache); null = uncached.
+  /// (e.g. a stored document's persistent cache); null = a private one.
   std::shared_ptr<AxisCache> axis_cache;
+  /// Optional document subrelation cache: atom relations are borrowed
+  /// from it by pointer, and those Create() evaluated are published into
+  /// it once preprocessing succeeds. Null: relations stay private.
+  std::shared_ptr<ppl::RelationCache> relation_cache;
 };
 
 /// Resumable answer enumeration for an acyclic conjunctive query.

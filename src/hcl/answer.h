@@ -4,11 +4,15 @@
 // Pipeline, for a query q_{C,x} on a tree t:
 //
 //   1. Convert C to sharing normal form (D, Delta)      [Lemma 3, O(|C|)]
-//   2. Precompile every b in L(C) into successor lists  [sum_b p(|b|,|t|)]
-//   3. Compute the satisfiability table
-//        MC(D0, u) = 1 iff ex. alpha, u' : (u,u') in [[D0_Delta]]^{t,alpha}
-//      by memoized recursion                            [Prop. 10,
-//                                                        O(|t|^2 (|D|+|Delta|))]
+//   2. Read the dense relation q_b(t) of every b in L(C) -- borrowed by
+//      pointer from the document's RelationCache, or evaluated once --
+//      and group its equal rows into row classes        [sum_b p(|b|,|t|)
+//                                                        + O(|t|^2/64)]
+//   3. Compute the satisfiability table, one node set per subformula:
+//        MC(D0) = { u | ex. alpha, u' : (u,u') in [[D0_Delta]]^{t,alpha} }
+//      where MC(b/D) is the preimage of MC(D) under q_b
+//      (BitMatrix::RowsMeeting)                          [Prop. 10,
+//                                                        O(|t|^2/64 (|D|+|Delta|))]
 //   4. Enumerate partial valuations vals(D0, u) bottom-up, filtering
 //      unsatisfiable branches through MC, deduplicating, and memoizing
 //      (Fig. 8)                                         [Prop. 11,
@@ -17,44 +21,73 @@
 // The key property making step 4 output-sensitive: because MC filters every
 // recursive call, each intermediate valuation extends to at least one
 // answer, so no dead work is enumerated and each memoized set has at most
-// |A| elements.
+// |A| elements. Two representation choices keep the work at that bound in
+// practice:
+//   * valuation sets are immutable flat arrays of sorted rows, shared by
+//     pointer: a memo hit copies no set, and a union drops operands it has
+//     already taken (same pointer) before merging rows;
+//   * vals(b/D, u) depends on u only through row u of q_b, so it is
+//     memoized per (b/D, row class of u). The `nodes` leaf of a `$x` step
+//     has one row class, so vals(nodes/x/D, u) is built once per query,
+//     not once per node.
 #ifndef XPV_HCL_ANSWER_H_
 #define XPV_HCL_ANSWER_H_
 
+#include <cstdint>
 #include <map>
 #include <memory>
 #include <optional>
-#include <set>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
+#include "common/bit_matrix.h"
 #include "common/cancel.h"
 #include "common/status.h"
 #include "hcl/ast.h"
 #include "hcl/sharing.h"
 #include "tree/axis_cache.h"
 
+namespace xpv::ppl {
+class RelationCache;
+}  // namespace xpv::ppl
+
 namespace xpv::hcl {
 
-/// A partial valuation over the query's variable list: val[i] is the node
-/// assigned to variable i, or kNoNode when the variable is unset.
-using PartialValuation = std::vector<NodeId>;
-using ValuationSet = std::set<PartialValuation>;
+/// An immutable set of partial valuations over the query's variable list:
+/// `count` rows of `width` cells back to back, sorted lexicographically
+/// with no repeats. Cell i of a row is the node assigned to variable i,
+/// or kNoNode when the variable is unset. With width 0 the set is either
+/// empty or {epsilon} (count 0 or 1).
+struct Valuations {
+  std::size_t width = 0;
+  std::size_t count = 0;
+  std::vector<NodeId> cells;
+
+  const NodeId* Row(std::size_t i) const { return cells.data() + i * width; }
+};
+using ValuationsPtr = std::shared_ptr<const Valuations>;
 
 /// Ablation switches for the Fig. 8 algorithm. Both default on; turning
 /// either off preserves correctness (the recursion still computes exact
 /// valuation sets) but forfeits the output-sensitivity analysis:
 /// without MC filtering, dead branches are enumerated and discarded late;
-/// without memoization, shared subformulas are recomputed per call site.
-/// Used by the ablation benchmark (E11) and its correctness tests.
+/// without memoization (row-class memo included), shared subformulas are
+/// recomputed per call site. Used by the ablation benchmark (E11) and its
+/// correctness tests.
 struct AnswerOptions {
   bool use_mc_filter = true;
   bool memoize_vals = true;
   /// Cooperative cancellation, observed inside the long-running phases
-  /// (binary-query precompilation, the MC table loops, and every
-  /// memoized vals() call) -- not just between jobs. When it fires,
-  /// Prepare()/Answer() return kCancelled / kDeadlineExceeded.
+  /// (leaf relation reads, the MC table, and every vals() call) -- not
+  /// just between jobs. When it fires, Prepare()/Answer() return
+  /// kCancelled / kDeadlineExceeded.
   CancelToken cancel;
+  /// The document's subrelation cache, next to the axis cache the
+  /// constructor takes: leaf relations are borrowed from it, and those
+  /// this run had to evaluate are published into it once Answer()
+  /// succeeds. Null: every leaf is evaluated privately.
+  std::shared_ptr<ppl::RelationCache> relation_cache;
 };
 
 /// Answers one n-ary HCL-(L) query on one tree. Construct, Prepare(), then
@@ -71,9 +104,9 @@ class QueryAnswerer {
                 AnswerOptions options = {},
                 std::shared_ptr<AxisCache> axis_cache = nullptr);
 
-  /// Steps 1-3: fragment check, sharing normal form, binary-query
-  /// precompilation, MC table. Fails with FragmentViolation when C is not
-  /// in HCL-(L).
+  /// Steps 1-3: fragment check, sharing normal form, leaf relations and
+  /// row classes, MC table. Fails with FragmentViolation when C is not in
+  /// HCL-(L).
   Status Prepare();
 
   /// Step 4: the answer set q_{C,x}(t). Prepare() must have succeeded.
@@ -84,20 +117,30 @@ class QueryAnswerer {
 
   /// MC(D0, u) for the subformula with the given id (Prepare() first).
   bool Mc(int subformula_id, NodeId u) const {
-    return mc_[static_cast<std::size_t>(subformula_id) * tree_.size() + u] ==
-           1;
+    return mc_[static_cast<std::size_t>(subformula_id)].Get(u);
   }
 
   const SharingForm& form() const { return *form_; }
 
  private:
-  bool ComputeMc(const SharingExpr& d, NodeId u);
-  ValuationSet Vals(const SharingExpr& d, NodeId u);
-  ValuationSet ValsCompute(const SharingExpr& d, NodeId u);
+  /// One leaf relation q_b(t) and, when memoizing, the row class of
+  /// every node: equal rows get equal class ids in [0, |t|).
+  struct Leaf {
+    std::shared_ptr<const BoolMatrix> relation;
+    std::vector<std::uint32_t> row_class;
+  };
+
+  const BitVector& ComputeMc(const SharingExpr& d);
+  ValuationsPtr Vals(const SharingExpr& d, NodeId u);
+  ValuationsPtr ValsCompute(const SharingExpr& d, NodeId u);
+  /// vals(b/D, u) for d = b/D: the union of vals(D, v) over the
+  /// successors v of u that pass MC(D).
+  ValuationsPtr SuccessorUnion(const SharingExpr& d, NodeId u);
   /// extend_{t,X}: extends every valuation to be total on the variable
-  /// index set X (unset positions in X range over all nodes).
-  ValuationSet Extend(const ValuationSet& in,
-                      const std::vector<int>& target_positions) const;
+  /// index set X (unset positions in X range over all nodes). Returns
+  /// `in` itself when every valuation is already total on X.
+  ValuationsPtr Extend(const ValuationsPtr& in,
+                       const std::vector<int>& target_positions) const;
   std::vector<int> VarIndicesOf(int subformula_id) const;
 
   const Tree& tree_;
@@ -110,12 +153,22 @@ class QueryAnswerer {
   std::map<std::string, int> var_index_;
 
   std::optional<SharingForm> form_;
-  /// Successor lists per binary query (Prop. 10's precompiled structure).
-  std::map<const BinaryQuery*, std::vector<std::vector<NodeId>>> successors_;
-  /// MC table: -1 unknown, 0 false, 1 true; indexed [sub_id * |t| + u].
-  std::vector<signed char> mc_;
-  /// vals memoization; empty optional = not yet computed.
-  std::vector<std::optional<ValuationSet>> vals_memo_;
+  std::optional<LeafRelations> leaf_relations_;
+  /// One entry per distinct leaf relation (keyed by the relation, so two
+  /// leaves with one text share their row classes).
+  std::unordered_map<const BoolMatrix*, Leaf> leaves_;
+  /// Per subformula id: the leaf of a b/D subformula (null otherwise),
+  /// and the variable positions a union extends its branches to.
+  std::vector<const Leaf*> leaf_of_;
+  std::vector<std::vector<int>> union_targets_;
+  /// MC table: one node set per subformula id.
+  std::vector<BitVector> mc_;
+  std::vector<bool> mc_done_;
+  /// vals memoization, indexed [sub_id * |t| + key], key = the row class
+  /// of u for b/D subformulas and u otherwise; null = not yet computed.
+  std::vector<ValuationsPtr> vals_memo_;
+  ValuationsPtr empty_;
+  ValuationsPtr epsilon_;
   bool prepared_ = false;
   /// Sticky cancel status observed inside the vals() recursion; set by
   /// Vals() (which then unwinds fast with empty sets and stops

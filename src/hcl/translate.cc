@@ -82,9 +82,8 @@ Result<HclPtr> Translate(const PathExpr& p) {
       return HclExpr::Binary(MakePplBinQuery(ppl::PplBinExpr::Self()));
     case PathKind::kVar:
       // L$xM^{-1} = nodes/x.
-      return HclExpr::Compose(
-          HclExpr::Binary(MakePplBinQuery(ppl::MakeNodesRelation())),
-          HclExpr::Var(p.var));
+      return HclExpr::Compose(HclExpr::Binary(MakeFullRelationQuery()),
+                              HclExpr::Var(p.var));
     case PathKind::kFor:
       return Status::FragmentViolation("N(for): PPL has no for-loops");
     case PathKind::kCompose: {

@@ -132,6 +132,37 @@ TEST(BitVectorRangeTest, ClearRangeAndAnyInRangeMatchBitLoops) {
   }
 }
 
+TEST(BitMatrixKernelTest, RowsMeetingMatchesMaskedNonEmptyRows) {
+  Rng rng(11);
+  // Sizes off the word boundary leave padding columns in every row's
+  // last word; they must never count as a meeting column.
+  for (std::size_t n : {1u, 2u, 63u, 64u, 65u, 130u}) {
+    for (std::size_t density : {0u, 3u, 30u, 100u}) {
+      BitMatrix m(n);
+      for (std::size_t r = 0; r < n; ++r) {
+        for (std::size_t c = 0; c < n; ++c) {
+          if (rng.Below(100) < density) m.Set(r, c);
+        }
+      }
+      for (std::size_t col_density : {0u, 5u, 50u, 100u}) {
+        const BitVector cols = RandomNodeSet(rng, n, col_density);
+        const BitVector meeting = m.RowsMeeting(cols);
+        EXPECT_EQ(meeting, m.MaskColumns(cols).NonEmptyRows())
+            << "n " << n << " density " << density << " cols "
+            << col_density;
+        for (std::size_t r = 0; r < n; ++r) {
+          bool meets = false;
+          cols.ForEachSet([&](std::size_t c) { meets = meets || m.Get(r, c); });
+          EXPECT_EQ(meeting.Get(r), meets) << "n " << n << " row " << r;
+        }
+      }
+      BitVector all(n);
+      all.Fill();
+      EXPECT_EQ(m.RowsMeeting(all), m.NonEmptyRows()) << n;
+    }
+  }
+}
+
 // --------------------------------------------------- allocation guards
 
 TEST(DenseCeilingTest, CreateRefusesOversizedDimensions) {

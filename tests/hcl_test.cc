@@ -7,6 +7,7 @@
 #include "hcl/answer.h"
 #include "hcl/ast.h"
 #include "hcl/sharing.h"
+#include "test_generators.h"
 #include "tree/generators.h"
 
 namespace xpv::hcl {
@@ -287,9 +288,7 @@ class RandomHclGen {
       if (!available.empty() && rng_.Chance(1, 2)) {
         return HclExpr::Var(available[rng_.Below(available.size())]);
       }
-      return HclExpr::Binary(
-          MakeAxisQuery(kAllAxes[rng_.Below(kAllAxes.size())],
-                        rng_.Chance(1, 3) ? "*" : GeneratorLabel(rng_.Below(2))));
+      return HclExpr::Binary(GenLeaf());
     }
     switch (rng_.Below(4)) {
       case 0: {  // composition: split variables
@@ -318,9 +317,46 @@ class RandomHclGen {
   }
 
  private:
+  // A leaf relation of one of the three kinds the translations emit: an
+  // axis step, the `nodes` relation of a `$x` step (one row class), or a
+  // PPLbin expression (with complement, so rows of every shape occur).
+  BinaryQueryPtr GenLeaf() {
+    switch (rng_.Below(4)) {
+      case 0:
+        return MakeFullRelationQuery();
+      case 1:
+        return MakePplBinQuery(RandomPplBin(rng_, 2, /*allow_complement=*/true));
+      default:
+        return MakeAxisQuery(
+            kAllAxes[rng_.Below(kAllAxes.size())],
+            rng_.Chance(1, 3) ? "*" : GeneratorLabel(rng_.Below(2)));
+    }
+  }
+
   Rng& rng_;
   std::vector<std::string> vars_;
 };
+
+/// The answer set under each of the four MC-filter x memoization
+/// combinations; every one must equal the naive evaluator's.
+void ExpectAllOptionsAgree(const Tree& t, const HclExpr& c,
+                           const std::vector<std::string>& vars) {
+  const xpath::TupleSet naive = EvalHclNaryNaive(t, c, vars);
+  for (bool mc : {true, false}) {
+    for (bool memo : {true, false}) {
+      AnswerOptions options;
+      options.use_mc_filter = mc;
+      options.memoize_vals = memo;
+      QueryAnswerer answerer(t, c, vars, options);
+      ASSERT_TRUE(answerer.Prepare().ok());
+      Result<xpath::TupleSet> fast = answerer.Answer();
+      ASSERT_TRUE(fast.ok()) << fast.status();
+      EXPECT_EQ(*fast, naive)
+          << "mc=" << mc << " memo=" << memo << "\nexpr: " << c.ToString()
+          << "\ntree: " << t.ToTerm();
+    }
+  }
+}
 
 class ValsVsNaiveTest : public ::testing::TestWithParam<std::uint64_t> {};
 
@@ -334,11 +370,16 @@ TEST_P(ValsVsNaiveTest, RandomQueriesAgree) {
     Tree t = RandomTree(rng, opts);
     HclPtr c = gen.Gen(3, vars);
     ASSERT_TRUE(CheckNoSharedComposition(*c).ok()) << c->ToString();
-    Result<xpath::TupleSet> fast = AnswerQuery(t, *c, vars);
-    ASSERT_TRUE(fast.ok()) << fast.status();
-    xpath::TupleSet naive = EvalHclNaryNaive(t, *c, vars);
-    EXPECT_EQ(*fast, naive)
-        << "expr: " << c->ToString() << "\ntree: " << t.ToTerm();
+    ExpectAllOptionsAgree(t, *c, vars);
+  }
+  // Stars and paths: most rows of the axis relations coincide (all the
+  // leaves of a star, all the suffixes of a path under following), so
+  // the row-class memo serves many nodes from one entry.
+  for (int trial = 0; trial < 4; ++trial) {
+    const std::size_t size = 20 + rng.Below(21);
+    const Tree shape = trial % 2 == 0 ? StarTree(size - 1) : PathTree(size);
+    HclPtr c = gen.Gen(2, vars);
+    ExpectAllOptionsAgree(shape, *c, vars);
   }
 }
 
@@ -355,10 +396,7 @@ TEST(ValsVsNaiveTest, ThreeVariables) {
     opts.num_nodes = 1 + rng.Below(6);
     Tree t = RandomTree(rng, opts);
     HclPtr c = gen.Gen(3, vars);
-    Result<xpath::TupleSet> fast = AnswerQuery(t, *c, vars);
-    ASSERT_TRUE(fast.ok());
-    EXPECT_EQ(*fast, EvalHclNaryNaive(t, *c, vars))
-        << "expr: " << c->ToString() << "\ntree: " << t.ToTerm();
+    ExpectAllOptionsAgree(t, *c, vars);
   }
 }
 

@@ -5,6 +5,7 @@
 // property throughout: results are byte-identical with and without every
 // optimization layer, at every thread count, so each layer is pure
 // performance and the differentials here are its safety net.
+#include <atomic>
 #include <memory>
 #include <string>
 #include <vector>
@@ -16,6 +17,7 @@
 #include "engine/document_store.h"
 #include "engine/query_cache.h"
 #include "engine/query_service.h"
+#include "hcl/answer.h"
 #include "ppl/matrix_engine.h"
 #include "ppl/pplbin.h"
 #include "ppl/relation_cache.h"
@@ -430,6 +432,198 @@ TEST(QueryCacheTest, CommutedUnionsShareOneEntry) {
   cache.GetOrCompile("child::b union child::a");
   EXPECT_EQ(cache.hits(), 1u);
   EXPECT_EQ(cache.misses(), 2u);
+}
+
+// ------------------------------------- n-ary leaves in the RelationCache
+
+/// The n-ary workload of the leaf-sharing tests: the bibliography `$x`
+/// templates (one `nodes` leaf each), a restaurant conjunction (an
+/// enumerable ACQ), and a union (served by the Fig. 8 answerer even as a
+/// stream).
+struct NaryCase {
+  std::size_t tree;  // index into NaryTrees()
+  std::string query;
+};
+
+std::vector<Tree> NaryTrees() {
+  Rng rng(0x7a1e);
+  std::vector<Tree> trees;
+  trees.push_back(BibliographyTree(rng, 14));
+  trees.push_back(RestaurantTree(rng, 7, 4));
+  return trees;
+}
+
+std::vector<NaryCase> NaryCases() {
+  const std::string a0 = RestaurantAttributeName(0);
+  const std::string a2 = RestaurantAttributeName(2);
+  return {
+      {0, "descendant::book[child::author]/$x"},
+      {0, "descendant::book/child::author/$x"},
+      {0, "$x/child::title"},
+      {0, "descendant::book[not(child::year)]/$y/child::author/$x"},
+      {0, "descendant::book[child::author[. is $x] or child::year[. is $x]]"},
+      {1, "descendant::restaurant[child::" + a0 + "[. is $x0] and child::" +
+              a2 + "[. is $x1]]"},
+  };
+}
+
+/// Every case as a full-answer job and as a count job on `ids`, plus the
+/// drained stream of every case; returns the answers in case order (the
+/// count job must agree with the full one).
+std::vector<xpath::TupleSet> AnswerNaryCases(
+    engine::DocumentStore& store, const std::vector<engine::DocumentId>& ids,
+    std::size_t threads) {
+  const std::vector<NaryCase> cases = NaryCases();
+  std::vector<engine::QueryJob> jobs;
+  for (const NaryCase& c : cases) {
+    for (engine::ResultShape shape :
+         {engine::ResultShape::kFullRelation, engine::ResultShape::kCount}) {
+      engine::QueryJob job;
+      job.document = ids[c.tree];
+      job.query = c.query;
+      job.shape = shape;
+      jobs.push_back(std::move(job));
+    }
+  }
+  engine::QueryService service(
+      {.num_threads = threads, .document_store = &store});
+  const std::vector<engine::QueryResult> results = service.EvaluateBatch(jobs);
+  std::vector<xpath::TupleSet> answers;
+  for (std::size_t i = 0; i < cases.size(); ++i) {
+    const engine::QueryResult& full = results[2 * i];
+    const engine::QueryResult& count = results[2 * i + 1];
+    EXPECT_TRUE(full.status.ok()) << cases[i].query << ": " << full.status;
+    EXPECT_TRUE(count.status.ok()) << cases[i].query << ": " << count.status;
+    EXPECT_EQ(count.count, full.tuples.size()) << cases[i].query;
+    answers.push_back(full.tuples);
+
+    Result<engine::QueryStream> stream =
+        service.OpenStream(ids[cases[i].tree], cases[i].query);
+    EXPECT_TRUE(stream.ok()) << cases[i].query << ": " << stream.status();
+    if (!stream.ok()) continue;
+    xpath::TupleSet streamed;
+    while (true) {
+      Result<std::vector<xpath::NodeTuple>> batch = stream->NextBatch(64);
+      EXPECT_TRUE(batch.ok()) << cases[i].query << ": " << batch.status();
+      if (!batch.ok() || batch->empty()) break;
+      streamed.insert(batch->begin(), batch->end());
+    }
+    EXPECT_EQ(streamed, full.tuples) << "stream of " << cases[i].query;
+  }
+  return answers;
+}
+
+std::vector<engine::DocumentId> InsertAll(engine::DocumentStore& store,
+                                          const std::vector<Tree>& trees) {
+  std::vector<engine::DocumentId> ids;
+  for (const Tree& t : trees) {
+    Tree copy = t;
+    ids.push_back(store.Insert(std::move(copy)));
+  }
+  return ids;
+}
+
+TEST(NaryLeafSharingTest, AnswersAgreeAcrossCacheBudgets) {
+  const std::vector<Tree> trees = NaryTrees();
+  engine::DocumentStoreOptions off;
+  off.relation_cache_bytes = 0;
+  engine::DocumentStore store_off(off);
+  const std::vector<xpath::TupleSet> reference =
+      AnswerNaryCases(store_off, InsertAll(store_off, trees), 1);
+  for (const xpath::TupleSet& answers : reference) {
+    EXPECT_FALSE(answers.empty());
+  }
+
+  // Default budget, run twice: the second pass reads every leaf from the
+  // cache the first pass published into.
+  engine::DocumentStore store_on;
+  const std::vector<engine::DocumentId> ids_on = InsertAll(store_on, trees);
+  for (std::size_t threads : {1u, 2u}) {
+    EXPECT_EQ(AnswerNaryCases(store_on, ids_on, threads), reference);
+  }
+  EXPECT_GT(store_on.stats().relation_hits, 0u);
+
+  // A budget of about two leaf relations evicts while a batch runs; jobs
+  // keep the relations they borrowed alive.
+  const std::size_t n = trees[0].size();
+  engine::DocumentStoreOptions tight;
+  tight.relation_cache_bytes = 2 * n * ((n + 63) / 64) * 8 + 1024;
+  engine::DocumentStore store_tight(tight);
+  const std::vector<engine::DocumentId> ids_tight =
+      InsertAll(store_tight, trees);
+  EXPECT_EQ(AnswerNaryCases(store_tight, ids_tight, 2), reference);
+  EXPECT_GT(store_tight.RelationCacheFor(ids_tight[0])->stats().evictions, 0u);
+}
+
+TEST(NaryLeafSharingTest, DenseBinaryJobEntryServesNaryLeaf) {
+  // A dense binary job on the `nodes` relation publishes the entry an
+  // n-ary `$x` leaf reads: same text, same tag, same bytes.
+  const std::vector<Tree> trees = NaryTrees();
+  engine::DocumentStoreOptions off;
+  off.relation_cache_bytes = 0;
+  engine::DocumentStore store_off(off);
+  const std::vector<xpath::TupleSet> reference =
+      AnswerNaryCases(store_off, InsertAll(store_off, trees), 1);
+
+  engine::DocumentStore store;
+  const std::vector<engine::DocumentId> ids = InsertAll(store, trees);
+  engine::QueryService service({.num_threads = 1, .document_store = &store});
+  engine::QueryJob job;
+  job.document = ids[0];
+  job.query = ppl::ToXPath(*ppl::MakeNodesRelation())->ToString();
+  job.repr_override = MatrixRepr::kDense;
+  const engine::QueryResult binary = service.EvaluateBatch({job})[0];
+  ASSERT_TRUE(binary.status.ok()) << binary.status;
+  EXPECT_EQ(binary.relation.Count(), trees[0].size() * trees[0].size());
+
+  const std::string key = ppl::RelationKey(
+      hcl::MakeFullRelationQuery()->RelationText(),
+      MatrixReprName(MatrixRepr::kDense));
+  const std::shared_ptr<ppl::RelationCache> relations =
+      store.RelationCacheFor(ids[0]);
+  const std::shared_ptr<const BoolMatrix> published = relations->Get(key);
+  ASSERT_NE(published, nullptr) << "the binary job did not publish " << key;
+
+  EXPECT_EQ(AnswerNaryCases(store, ids, 1), reference);
+  // The n-ary jobs read the entry instead of publishing their own.
+  EXPECT_EQ(relations->Get(key), published);
+}
+
+TEST(NaryLeafSharingTest, CancelledAnswerPublishesNothingAndLaterJobIsWhole) {
+  Rng rng(0xca9c);
+  engine::DocumentStore store;
+  const engine::DocumentId id = store.Insert(BibliographyTree(rng, 10));
+  const std::string query = "descendant::book/child::author/$x";
+  Result<std::shared_ptr<const engine::CompiledQuery>> compiled =
+      engine::CompileQuery(query);
+  ASSERT_TRUE(compiled.ok());
+  const engine::CompiledQuery& q = **compiled;
+  Result<engine::DocumentPtr> doc = store.Fetch(id);
+  ASSERT_TRUE(doc.ok());
+  const Tree& t = (*doc)->tree();
+  Result<xpath::TupleSet> uncached = hcl::AnswerQuery(t, *q.hcl, q.tuple_vars);
+  ASSERT_TRUE(uncached.ok());
+
+  // The token fires between Prepare() and Answer(): the vals recursion
+  // observes it on its first call.
+  std::atomic<bool> cancelled{false};
+  hcl::AnswerOptions options;
+  options.cancel = CancelToken(&cancelled);
+  options.relation_cache = store.RelationCacheFor(id);
+  hcl::QueryAnswerer answerer(t, *q.hcl, q.tuple_vars, options,
+                              store.AxisCacheFor(id));
+  ASSERT_TRUE(answerer.Prepare().ok());
+  cancelled = true;
+  Result<xpath::TupleSet> answered = answerer.Answer();
+  ASSERT_FALSE(answered.ok());
+  EXPECT_EQ(answered.status().code(), StatusCode::kCancelled);
+  EXPECT_EQ(store.RelationCacheFor(id)->stats().entries, 0u);
+
+  engine::QueryService service({.num_threads = 1, .document_store = &store});
+  const engine::QueryResult later = service.Evaluate(id, query);
+  ASSERT_TRUE(later.status.ok()) << later.status;
+  EXPECT_EQ(later.tuples, *uncached);
+  EXPECT_GT(store.RelationCacheFor(id)->stats().entries, 0u);
 }
 
 }  // namespace
